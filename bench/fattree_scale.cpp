@@ -28,6 +28,9 @@
 //                      schema). CI gates the telemetry-on overhead <= 5%.
 //   --profile          enable the engine self-profiler; dispatch mix, scan
 //                      stats and path-cache hit rate land in the JSON rows
+//   --workers=N        run each scale on N parallel-engine domains (default
+//                      1). The simulated results must not move; CI compares
+//                      each row's peak RSS against a sequential run.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -35,6 +38,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -52,6 +56,8 @@ using workload::SizeDistribution;
 // Fixed-layout result a child ships to the parent over a pipe.
 struct ScaleOut {
   std::uint64_t k = 0;
+  std::uint64_t workers = 0;
+  std::uint64_t workers_used = 0;
   std::uint64_t hosts = 0;
   std::uint64_t switches = 0;
   std::uint64_t flows = 0;
@@ -79,10 +85,11 @@ struct ScaleOut {
   std::uint64_t telemetry_samples = 0;
 };
 
-// Per-run observability knobs, forwarded into each forked child.
-struct ObsFlags {
+// Per-run knobs, forwarded into each forked child.
+struct RunFlags {
   bool profile = false;
   std::string telemetry_base;  // empty = telemetry off
+  int workers = 1;
 };
 
 ScenarioConfig fattree_config(int k, int num_flows) {
@@ -111,16 +118,19 @@ double metric(const workload::ScenarioResult& r, const char* name) {
   return 0.0;
 }
 
-ScaleOut run_scale(int k, int num_flows, const ObsFlags& obs) {
+ScaleOut run_scale(int k, int num_flows, const RunFlags& obs) {
   ScenarioConfig cfg = fattree_config(k, num_flows);
   cfg.profile = obs.profile;
   if (!obs.telemetry_base.empty()) cfg.telemetry.enabled = true;
+  cfg.workers = obs.workers;
   const auto t0 = std::chrono::steady_clock::now();
   const workload::ScenarioResult r = workload::run_scenario(cfg);
   const auto t1 = std::chrono::steady_clock::now();
 
   ScaleOut out;
   out.k = static_cast<std::uint64_t>(k);
+  out.workers = static_cast<std::uint64_t>(obs.workers);
+  out.workers_used = static_cast<std::uint64_t>(r.workers_used);
   out.hosts = static_cast<std::uint64_t>(cfg.fattree.num_hosts());
   out.switches = static_cast<std::uint64_t>(cfg.fattree.num_switches());
   out.flows = r.total_flows();
@@ -177,7 +187,7 @@ ScaleOut run_scale(int k, int num_flows, const ObsFlags& obs) {
 
 // Forks, runs one scale in the child, and reads the result back. Returns
 // false if the child failed.
-bool run_scale_isolated(int k, int num_flows, const ObsFlags& obs,
+bool run_scale_isolated(int k, int num_flows, const RunFlags& obs,
                         ScaleOut* out) {
   int fd[2];
   if (pipe(fd) != 0) return false;
@@ -213,7 +223,7 @@ bool run_scale_isolated(int k, int num_flows, const ObsFlags& obs,
 
 int main(int argc, char** argv) {
   bool quick = false;
-  ObsFlags obs;
+  RunFlags obs;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
@@ -221,6 +231,12 @@ int main(int argc, char** argv) {
       obs.profile = true;
     } else if (std::strncmp(argv[i], "--telemetry=", 12) == 0) {
       obs.telemetry_base = argv[i] + 12;
+    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
+      obs.workers = std::atoi(argv[i] + 10);
+      if (obs.workers < 1) {
+        std::fprintf(stderr, "error: --workers must be at least 1\n");
+        return 1;
+      }
     }
   }
 
@@ -240,8 +256,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("fat-tree scaling (%s): DCTCP web-search any-to-any, ECMP "
-              "multipath, streaming stats\n",
-              quick ? "quick" : "full");
+              "multipath, streaming stats, %d worker(s)\n",
+              quick ? "quick" : "full", obs.workers);
   std::printf("%-4s %7s %9s %9s %12s %11s %10s %10s %14s %8s %10s %10s\n",
               "k", "hosts", "switches", "flows", "peak RSS", "route B/sw",
               "setup(s)", "wall(s)", "pkts/sec", "ns/pkt", "imbalance",
@@ -274,7 +290,8 @@ int main(int argc, char** argv) {
     char row[1536];
     std::snprintf(
         row, sizeof(row),
-        "    {\"k\": %llu, \"hosts\": %llu, \"switches\": %llu,\n"
+        "    {\"k\": %llu, \"workers\": %llu, \"workers_used\": %llu,\n"
+        "     \"hosts\": %llu, \"switches\": %llu,\n"
         "     \"flows\": %llu, \"completed\": %llu, \"unfinished\": %llu,\n"
         "     \"peak_rss_bytes\": %llu, \"setup_sec\": %.6f,\n"
         "     \"route_table_bytes\": %llu, \"route_bytes_per_switch\": %.1f,\n"
@@ -288,6 +305,8 @@ int main(int argc, char** argv) {
         "     \"path_cache_hit_rate\": %.6f,\n"
         "     \"telemetry_samples\": %llu}%s\n",
         static_cast<unsigned long long>(r.k),
+        static_cast<unsigned long long>(r.workers),
+        static_cast<unsigned long long>(r.workers_used),
         static_cast<unsigned long long>(r.hosts),
         static_cast<unsigned long long>(r.switches),
         static_cast<unsigned long long>(r.flows),

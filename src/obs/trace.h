@@ -80,9 +80,11 @@ std::string categories_string(std::uint32_t mask);
 
 // One fixed-size, trivially-copyable record. `t` and `order` are stamped
 // from the buffer's per-event context (begin_event); emit sites fill the
-// rest. `order` is the executing event's DetLineage node id in a parallel
-// run and kNoOrder otherwise; it never appears in serialized output — it
-// only drives the deterministic merge.
+// rest. `order` is kNoOrder outside parallel runs. In a parallel run it is
+// stamped with the executing event's DetLineage node id, which the engine's
+// next lineage compaction pass rewrites into an integer merge key: keys of
+// same-time records compare like their lineage. It never appears in
+// serialized output — it only drives the deterministic merge.
 struct TraceEvent {
   double t = 0.0;
   std::uint64_t order = 0;
@@ -159,10 +161,23 @@ class TraceBuffer {
     return ring_[(first + i) & mask_];
   }
 
+  // Retained records emitted since the last seal(), oldest first, for the
+  // parallel engine to rewrite their order keys in place; seal() marks every
+  // record emitted so far as done.
+  template <typename Fn>
+  void for_each_unsealed(Fn&& fn) {
+    const std::uint64_t first = head_ < ring_.size() ? 0 : head_ - ring_.size();
+    for (std::uint64_t i = first > sealed_ ? first : sealed_; i < head_; ++i) {
+      fn(ring_[i & mask_]);
+    }
+  }
+  void seal() { sealed_ = head_; }
+
  private:
   std::vector<TraceEvent> ring_;
   std::uint64_t mask_;
   std::uint64_t head_ = 0;  // total records ever emitted
+  std::uint64_t sealed_ = 0;  // head_ at the last seal()
   std::uint32_t categories_;
   double t_ = 0.0;
   std::uint64_t order_ = kNoOrder;

@@ -62,8 +62,7 @@ void append_queue_name(std::string& out, const Trace& tr, std::uint32_t id) {
 
 }  // namespace
 
-Trace merge_buffers(const std::vector<const TraceBuffer*>& buffers,
-                    OrderLessFn less, const void* less_ctx) {
+Trace merge_buffers(const std::vector<const TraceBuffer*>& buffers) {
   Trace tr;
   std::size_t total = 0;
   std::uint32_t cats = 0;
@@ -79,18 +78,17 @@ Trace merge_buffers(const std::vector<const TraceBuffer*>& buffers,
   }
   // Within one buffer records are already in (t, lineage) order — a domain
   // executes its events in exactly that order — so a stable sort by time
-  // plus the cross-domain lineage tie-break reproduces the global
-  // sequential emission order. Records without a lineage key (sequential
-  // runs, engine self-profiling) compare equal at their time and keep
+  // plus the cross-domain order-key tie-break reproduces the global
+  // sequential emission order. Records without a key (sequential runs,
+  // engine self-profiling) compare equal at their time and keep
   // concatenation order.
   std::stable_sort(tr.events.begin(), tr.events.end(),
-                   [less, less_ctx](const TraceEvent& a, const TraceEvent& b) {
+                   [](const TraceEvent& a, const TraceEvent& b) {
                      if (a.t != b.t) return a.t < b.t;
-                     if (less == nullptr || a.order == kNoOrder ||
-                         b.order == kNoOrder) {
+                     if (a.order == kNoOrder || b.order == kNoOrder) {
                        return false;  // stable sort keeps input order
                      }
-                     return less(less_ctx, a.order, b.order);
+                     return a.order < b.order;
                    });
   return tr;
 }

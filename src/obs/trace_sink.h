@@ -2,13 +2,12 @@
 //
 // A run produces one TraceBuffer per execution domain; merge_buffers folds
 // them into a single Trace in deterministic order: records sort by time,
-// with same-time ties broken by the lineage order key each record carries
-// (the executing event's DetLineage node). Sequential runs have no lineage
-// (order == kNoOrder on every record) and a single buffer already in
-// execution order, which IS the (time, lineage) order a parallel run
-// replays — so the merged trace of a 4-worker run is byte-identical to the
-// sequential one. The comparator is injected as a plain function pointer so
-// this layer stays independent of sim/.
+// with same-time ties broken by the integer order key each record carries
+// (the parallel engine ranks the executing events' DetLineage nodes into
+// these keys). Sequential runs have no lineage (order == kNoOrder on every
+// record) and a single buffer already in execution order, which IS the
+// (time, lineage) order a parallel run replays — so the merged trace of a
+// 4-worker run is byte-identical to the sequential one.
 //
 // Two sinks:
 //   - JSONL: schema-versioned, one event per line, first line is a header
@@ -30,11 +29,6 @@ namespace pase::obs {
 inline constexpr const char* kTraceSchemaName = "pase-trace";
 inline constexpr int kTraceSchemaVersion = 1;
 
-// Strict-weak "before" for lineage order keys; ctx is the caller's lineage
-// arena. Only consulted for same-time records that both carry real keys.
-using OrderLessFn = bool (*)(const void* ctx, std::uint64_t a,
-                             std::uint64_t b);
-
 struct Trace {
   std::vector<TraceEvent> events;  // merged, deterministic order
   // Queue trace_id -> human-readable name (e.g. "h0.up", "tor->h2");
@@ -52,9 +46,9 @@ struct Trace {
   bool write_chrome_json(const std::string& path) const;
 };
 
-// Merges per-domain buffers. `less` may be null (sequential run: records
-// keep concatenation order within equal times, which is execution order).
-Trace merge_buffers(const std::vector<const TraceBuffer*>& buffers,
-                    OrderLessFn less, const void* less_ctx);
+// Merges per-domain buffers. Records without an order key keep
+// concatenation order within equal times (in a sequential run, that is
+// execution order).
+Trace merge_buffers(const std::vector<const TraceBuffer*>& buffers);
 
 }  // namespace pase::obs

@@ -1,4 +1,5 @@
-// PASE_DCHECK: debug-only invariant checks for the packet hot path.
+// PASE_DCHECK: debug-only invariant checks for the packet hot path
+// (PASE_CHECK, below, is the always-on form).
 //
 // `assert` disappears under NDEBUG — which includes the sanitizer CI legs,
 // because they build RelWithDebInfo — so hot-path invariants guarded by
@@ -42,3 +43,15 @@
 #else
 #define PASE_DCHECK(cond) static_cast<void>(sizeof((cond) ? 0 : 0))
 #endif
+
+// PASE_CHECK: always on, in every build. For guards whose failure would
+// otherwise corrupt memory or silently reorder events; keep them off
+// per-event paths unless the branch is as cheap as one compare.
+#define PASE_CHECK(cond)                                                    \
+  do {                                                                      \
+    if (!(cond)) [[unlikely]] {                                             \
+      std::fprintf(stderr, "PASE_CHECK failed: %s (%s:%d)\n", #cond,        \
+                   __FILE__, __LINE__);                                     \
+      std::abort();                                                         \
+    }                                                                       \
+  } while (0)

@@ -99,11 +99,37 @@ void ParallelEngine::publish(int d, Simulator& sd) {
   }
 }
 
+void ParallelEngine::compact() {
+  live_refs_.clear();
+  trace_keys_.clear();
+  const auto keep = [this](DetLineage::NodeId& id) {
+    live_refs_.push_back(&id);
+  };
+  for (auto& s : sims_) s->for_each_lineage_ref(keep);
+  for (auto& box : mail_) {
+    for (CrossRecord& r : box) keep(r.node);
+  }
+  if (lineage_refs_) lineage_refs_(keep);
+  for (const DomainPub& p : pub_) {
+    if (p.trace == nullptr) continue;
+    p.trace->for_each_unsealed([this](obs::TraceEvent& e) {
+      if (e.order != obs::kNoOrder) trace_keys_.push_back(&e.order);
+    });
+  }
+  lineage_.compact(live_refs_, trace_keys_);
+  for (const DomainPub& p : pub_) {
+    if (p.trace != nullptr) p.trace->seal();
+  }
+}
+
 void ParallelEngine::decide() {
   // Leader-only, inside a barrier: every domain published its slot (and any
   // cross posts it made) before arriving, and the acq_rel arrival chain
   // makes those writes visible here.
   ++rounds_;
+  // Every mailbox is empty (just drained, or nobody posted) and every event
+  // before the coming window has run: the instants so far are closed.
+  if (lineage_.compaction_due()) compact();
   Time m = kTimeInfinity;
   Time h = kTimeInfinity;
   for (const DomainPub& p : pub_) {
@@ -126,6 +152,7 @@ void ParallelEngine::decide() {
 void ParallelEngine::run_rounds(int d) {
   Simulator& sd = domain(d);
   DomainPub& pub = pub_[static_cast<std::size_t>(d)];
+  pub.trace = obs::tracer();
   double waited = 0.0;
   for (;;) {
     switch (round_) {
@@ -176,7 +203,10 @@ void ParallelEngine::run_rounds(int d) {
 void ParallelEngine::run_until(Time target) {
   PASE_DCHECK(lookahead_ > 0.0 && "parallel run requires positive lookahead");
   if (num_domains() == 1) {
-    // Degenerate single-domain engine: plain sequential execution.
+    // Degenerate single-domain engine: plain sequential execution, still in
+    // det mode, so its lineage is compacted between runs.
+    pub_[0].trace = obs::tracer();
+    if (lineage_.compaction_due()) compact();
     domain(0).run(target);
     now_ = target;
     return;

@@ -39,6 +39,13 @@
 // consumers drain only between them. The probe influences only *when* events
 // run, never their order, so traces stay bit-identical across worker counts
 // and probe choices.
+//
+// Memory: when the lineage budget is spent, the leader that decides a round
+// also compacts the lineage (every domain quiescent, every mailbox empty),
+// rewriting each live reference in place: pending events' nodes, each
+// domain's executing context, mailbox records, the caller's out-of-band
+// records (set_lineage_refs) and the lineage keys on the trace records each
+// domain emitted since the last pass, which become integer merge keys.
 #pragma once
 
 #include <atomic>
@@ -49,6 +56,10 @@
 #include <vector>
 
 #include "sim/simulator.h"
+
+namespace pase::obs {
+class TraceBuffer;
+}
 
 namespace pase::sim {
 
@@ -68,6 +79,21 @@ class ParallelEngine {
   // callers can order out-of-band records (e.g. deferred completion
   // callbacks) exactly as the sequential run would have fired them.
   DetLineage& lineage() { return lineage_; }
+
+  // Out-of-band lineage ids the caller keeps across barriers (e.g. deferred
+  // completion records carrying make_post_node ids). Each compaction pass
+  // calls `enumerate` with a visitor to apply to every such NodeId&; the
+  // visitor rewrites it in place. Called while every domain is quiescent.
+  using RefVisitor = std::function<void(DetLineage::NodeId&)>;
+  void set_lineage_refs(std::function<void(const RefVisitor&)> enumerate) {
+    lineage_refs_ = std::move(enumerate);
+  }
+
+  // Compacts the lineage now. The round leader does this on its own when
+  // the budget is spent; callers may call it between run_until calls, e.g.
+  // to turn every trace record's lineage key into an integer merge key
+  // before merging the rings.
+  void compact();
 
   // Minimum propagation delay over all cut links; must be positive and set
   // before the first run_until.
@@ -158,6 +184,7 @@ class ParallelEngine {
     Time next_t = kTimeInfinity;  // next pending event time
     Time bound = kTimeInfinity;   // earliest possible cross-domain delivery
     double barrier_wait = 0.0;    // accumulated post-spin barrier wait (sec)
+    obs::TraceBuffer* trace = nullptr;  // the domain thread's trace ring
   };
 
   // Sense-reversing barrier; the last arriver runs `leader_fn` before
@@ -249,6 +276,12 @@ class ParallelEngine {
   double horizon_width_sum_ = 0.0;
   std::uint64_t posts_at_decide_ = 0;
   std::atomic<std::uint64_t> cross_posts_{0};
+
+  // Compaction: the caller's out-of-band references, and the gathered
+  // reference lists (reused across passes).
+  std::function<void(const RefVisitor&)> lineage_refs_;
+  std::vector<DetLineage::NodeId*> live_refs_;
+  std::vector<DetLineage::NodeId*> trace_keys_;
 
   Barrier start_barrier_;
   Barrier round_barrier_;

@@ -160,6 +160,8 @@ class Simulator {
   // sim/det_lineage.h). Cross-domain link deliveries carry their node
   // through the mailbox (make_post_node consumes the k slot the delivery
   // would have taken locally) and are re-injected with schedule_injected.
+  // The engine compacts the shared lineage at round barriers, rewriting the
+  // ids this domain holds (for_each_lineage_ref).
 
   // Turns on lineage tracking for this domain. Must be called before any
   // event is scheduled into this simulator. Sequential runs never call this
@@ -189,6 +191,18 @@ class Simulator {
   EventId schedule_injected(Time t, DetLineage::NodeId node, RawFn fn,
                             void* ctx,
                             void* arg = nullptr);  // defined after the class
+  // Visits every lineage reference this domain holds between events — the
+  // node of each pending event and the last executed event's node (the
+  // parent of any out-of-event scheduling made before set_setup_index) —
+  // as a NodeId& that a compaction pass rewrites in place.
+  template <typename Visit>
+  void for_each_lineage_ref(Visit&& visit) {
+    PASE_DCHECK(injected_node_ == DetLineage::kNull);
+    for (std::uint32_t i = 0; i < num_slots_; ++i) {
+      if (slot_at(i).seq != 0) visit(det_nodes_[i]);  // seq 0: not pending
+    }
+    if (cur_node_ != DetLineage::kNull) visit(cur_node_);
+  }
 
   // Time of the earliest pending event (kTimeInfinity when none): the
   // per-domain input to the safe-horizon computation.
@@ -342,8 +356,10 @@ class Simulator {
 
   // Stable chunked slot storage: growth never moves a live slot (vector
   // reallocation would), so slot references stay valid while a callback
-  // schedules new events, and inline payloads never relocate.
-  static constexpr std::size_t kSlotChunkShift = 12;
+  // schedules new events, and inline payloads never relocate. A chunk is
+  // constructed (so touched) whole; 64 KiB keeps that floor small for the
+  // per-domain simulators of a parallel run.
+  static constexpr std::size_t kSlotChunkShift = 10;
   static constexpr std::size_t kSlotChunkSize = 1ull << kSlotChunkShift;
 
   Slot& slot_at(std::uint32_t i) {

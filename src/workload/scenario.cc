@@ -35,12 +35,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Adapts DetLineage::less to the plain-function comparator obs:: expects
-// (the obs layer cannot include sim/).
-bool lineage_less(const void* ctx, std::uint64_t a, std::uint64_t b) {
-  return static_cast<const sim::DetLineage*>(ctx)->less(a, b);
-}
-
 // Aggregate counters every run exports, independent of execution mode.
 void fold_common_metrics(obs::MetricsRegistry& reg, const ScenarioResult& r,
                          topo::BuiltTopology& built) {
@@ -844,6 +838,14 @@ std::optional<ScenarioResult> try_run_parallel(
   };
   std::vector<std::vector<Completion>> deferred(
       static_cast<std::size_t>(n_dom));
+  // Their lineage ids live across barriers, so compaction passes rewrite
+  // them along with the engine's own references.
+  engine.set_lineage_refs(
+      [&deferred](const sim::ParallelEngine::RefVisitor& visit) {
+        for (auto& dl : deferred) {
+          for (Completion& c : dl) visit(c.node);
+        }
+      });
 
   // Done slots whose sender has not yet processed its final ack; polled at
   // each barrier (domains quiescent) until retire-eligible.
@@ -1041,6 +1043,8 @@ std::optional<ScenarioResult> try_run_parallel(
   }
   result.workers_used = part.domains;
   result.parallel_barrier_wait_sec = engine.barrier_wait_sec();
+  // Passes made while the run was going, not the trace-sealing one below.
+  const std::uint64_t compactions = engine.lineage().compactions();
   if (telemetry) result.telemetry = telemetry->finish(result.end_time);
 
   if (!tbufs.empty()) {
@@ -1052,11 +1056,13 @@ std::optional<ScenarioResult> try_run_parallel(
           static_cast<double>(engine.domain(d).heap_closure_events()),
           static_cast<std::uint32_t>(d));
     }
+    // Records since the last pass still carry lineage ids; one more pass
+    // turns them into integer merge keys.
+    engine.compact();
     std::vector<const obs::TraceBuffer*> ptrs;
     ptrs.reserve(tbufs.size());
     for (const auto& b : tbufs) ptrs.push_back(b.get());
-    auto trace = std::make_shared<obs::Trace>(
-        obs::merge_buffers(ptrs, &lineage_less, &engine.lineage()));
+    auto trace = std::make_shared<obs::Trace>(obs::merge_buffers(ptrs));
     trace->queue_names = std::move(queue_names);
     result.trace = std::move(trace);
   }
@@ -1071,6 +1077,8 @@ std::optional<ScenarioResult> try_run_parallel(
   reg.counter("parallel.drains") = engine.drains_executed();
   reg.counter("parallel.quiet_rounds") = engine.quiet_rounds();
   reg.gauge("parallel.horizon_width_mean") = engine.mean_horizon_width();
+  reg.counter("parallel.lineage_compactions") = compactions;
+  reg.counter("mem.lineage_peak_bytes") = engine.lineage().chunk_bytes();
   if (result.telemetry) {
     reg.counter("telemetry.samples") = result.telemetry->samples;
     reg.counter("telemetry.windows") = result.telemetry->windows.size();
@@ -1266,7 +1274,7 @@ ScenarioResult run_scenario_with_flows(ScenarioConfig cfg,
                   static_cast<double>(run.sim.heap_closure_events()),
                   /*a=*/0);
     auto trace = std::make_shared<obs::Trace>(
-        obs::merge_buffers({tbuf.get()}, nullptr, nullptr));
+        obs::merge_buffers({tbuf.get()}));
     trace->queue_names = std::move(queue_names);
     result.trace = std::move(trace);
   }

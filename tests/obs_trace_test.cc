@@ -252,6 +252,13 @@ TEST(TraceDeterminism, MergedTraceByteIdenticalAcrossWorkerCounts) {
       EXPECT_EQ(rw.trace->to_jsonl(), ref)
           << workload::protocol_name(p) << " workers=" << w
           << " (workers_used=" << rw.workers_used << ")";
+      // Passes ran mid-run, so merge keys came from several of them.
+      double compactions = 0.0;
+      for (const auto& m : rw.metrics) {
+        if (m.name == "parallel.lineage_compactions") compactions = m.value;
+      }
+      EXPECT_GT(compactions, 0.0)
+          << workload::protocol_name(p) << " workers=" << w;
     }
   }
 }
@@ -277,7 +284,9 @@ TEST(Metrics, ScenarioResultCarriesAggregates) {
 
 TEST(Metrics, ParallelRunReportsRoundStatistics) {
   const char* names[] = {"parallel.rounds", "parallel.windows",
-                         "parallel.cross_posts", "engine.workers"};
+                         "parallel.cross_posts", "engine.workers",
+                         "parallel.lineage_compactions",
+                         "mem.lineage_peak_bytes"};
   workload::ScenarioConfig cfg;
   cfg.protocol = workload::Protocol::kDctcp;
   cfg.topology = workload::ScenarioConfig::TopologyKind::kThreeTier;

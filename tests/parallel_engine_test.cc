@@ -26,6 +26,13 @@
 namespace pase {
 namespace {
 
+double metric(const workload::ScenarioResult& r, const char* name) {
+  for (const auto& m : r.metrics) {
+    if (m.name == name) return m.value;
+  }
+  return -1.0;
+}
+
 // Sequential fingerprints computed once and shared by all worker counts.
 const std::vector<std::uint64_t>& sequential_fingerprints() {
   static const std::vector<std::uint64_t> fps = [] {
@@ -53,6 +60,9 @@ void expect_bit_identical(int workers) {
         << cases[i].label << " unexpectedly fell back to sequential";
     EXPECT_TRUE(r.parallel_fallback_reason.empty())
         << cases[i].label << ": " << r.parallel_fallback_reason;
+    // The identity must hold with the lineage compacted along the way.
+    EXPECT_GT(metric(r, "parallel.lineage_compactions"), 0.0)
+        << cases[i].label;
   }
 }
 
@@ -84,6 +94,8 @@ TEST(ParallelGolden, PaseFatTreeBitIdenticalAcrossWorkerCounts) {
     EXPECT_GT(r.workers_used, 1);
     EXPECT_TRUE(r.parallel_fallback_reason.empty())
         << r.parallel_fallback_reason;
+    EXPECT_GT(metric(r, "parallel.lineage_compactions"), 0.0)
+        << "workers=" << workers;
   }
 }
 
@@ -155,13 +167,6 @@ TEST(ParallelEngine, ConditionalHorizonNeverExceedsStaticRounds) {
   cfg.traffic.seed = 13;
   cfg.workers = 4;
 
-  const auto rounds_of = [](const workload::ScenarioResult& r) {
-    for (const auto& m : r.metrics) {
-      if (m.name == "parallel.rounds") return m.value;
-    }
-    return -1.0;
-  };
-
   cfg.horizon_mode = workload::ScenarioConfig::HorizonMode::kConditional;
   const workload::ScenarioResult cond = workload::run_scenario(cfg);
   cfg.horizon_mode = workload::ScenarioConfig::HorizonMode::kStaticMinCut;
@@ -170,8 +175,8 @@ TEST(ParallelEngine, ConditionalHorizonNeverExceedsStaticRounds) {
   ASSERT_GT(cond.workers_used, 1) << cond.parallel_fallback_reason;
   ASSERT_GT(stat.workers_used, 1) << stat.parallel_fallback_reason;
   EXPECT_EQ(trace_fingerprint(cond), trace_fingerprint(stat));
-  EXPECT_GT(rounds_of(stat), 0.0);
-  EXPECT_LE(rounds_of(cond), rounds_of(stat));
+  EXPECT_GT(metric(stat, "parallel.rounds"), 0.0);
+  EXPECT_LE(metric(cond, "parallel.rounds"), metric(stat, "parallel.rounds"));
 }
 
 // Every built-in profile must actually partition under workers > 1, and the

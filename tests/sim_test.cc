@@ -369,7 +369,7 @@ TEST(SimulatorTypedEvents, ReservePreallocatesSlotChunks) {
   Simulator s;
   s.reserve(10000);
   const std::size_t chunks = s.slot_chunks_allocated();
-  EXPECT_GE(chunks, 3u);  // 4096-slot chunks
+  EXPECT_GE(chunks, 3u);
   int fired = 0;
   for (int i = 0; i < 10000; ++i) {
     s.schedule(1e-6 * (i + 1), [&fired] { ++fired; });
