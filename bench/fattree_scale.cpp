@@ -28,9 +28,13 @@
 //                      schema). CI gates the telemetry-on overhead <= 5%.
 //   --profile          enable the engine self-profiler; dispatch mix, scan
 //                      stats and path-cache hit rate land in the JSON rows
-//   --workers=N        run each scale on N parallel-engine domains (default
-//                      1). The simulated results must not move; CI compares
-//                      each row's peak RSS against a sequential run.
+//   --workers=N        run each scale on N parallel-engine workers (default
+//                      1; the fabric is split into one domain per pod, which
+//                      the workers claim dynamically). The simulated results
+//                      must not move; CI compares each row's peak RSS and
+//                      loop time against a sequential run, and gates the
+//                      largest domain's event share (max_domain_event_share
+//                      x workers) as a deterministic balance proxy.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -58,6 +62,7 @@ struct ScaleOut {
   std::uint64_t k = 0;
   std::uint64_t workers = 0;
   std::uint64_t workers_used = 0;
+  std::uint64_t domains = 0;
   std::uint64_t hosts = 0;
   std::uint64_t switches = 0;
   std::uint64_t flows = 0;
@@ -71,6 +76,8 @@ struct ScaleOut {
   double core_link_imbalance = 0.0;
   double setup_sec = 0.0;
   double wall_sec = 0.0;
+  double loop_sec = 0.0;  // wall_sec minus setup_sec
+  double max_domain_event_share = 0.0;
   double packets_per_sec = 0.0;
   double ns_per_packet = 0.0;
   double afct_s = 0.0;
@@ -131,6 +138,8 @@ ScaleOut run_scale(int k, int num_flows, const RunFlags& obs) {
   out.k = static_cast<std::uint64_t>(k);
   out.workers = static_cast<std::uint64_t>(obs.workers);
   out.workers_used = static_cast<std::uint64_t>(r.workers_used);
+  out.domains = static_cast<std::uint64_t>(metric(r, "parallel.domains"));
+  out.max_domain_event_share = metric(r, "parallel.max_domain_event_share");
   out.hosts = static_cast<std::uint64_t>(cfg.fattree.num_hosts());
   out.switches = static_cast<std::uint64_t>(cfg.fattree.num_switches());
   out.flows = r.total_flows();
@@ -148,6 +157,7 @@ ScaleOut run_scale(int k, int num_flows, const RunFlags& obs) {
   out.core_link_imbalance = metric(r, "fabric.core_link_imbalance");
   out.setup_sec = r.setup_wall_sec;
   out.wall_sec = std::chrono::duration<double>(t1 - t0).count();
+  out.loop_sec = out.wall_sec - out.setup_sec;
   out.packets_per_sec =
       out.wall_sec > 0.0
           ? static_cast<double>(out.sim_packets) / out.wall_sec
@@ -291,11 +301,12 @@ int main(int argc, char** argv) {
     std::snprintf(
         row, sizeof(row),
         "    {\"k\": %llu, \"workers\": %llu, \"workers_used\": %llu,\n"
+        "     \"domains\": %llu, \"max_domain_event_share\": %.6f,\n"
         "     \"hosts\": %llu, \"switches\": %llu,\n"
         "     \"flows\": %llu, \"completed\": %llu, \"unfinished\": %llu,\n"
         "     \"peak_rss_bytes\": %llu, \"setup_sec\": %.6f,\n"
         "     \"route_table_bytes\": %llu, \"route_bytes_per_switch\": %.1f,\n"
-        "     \"wall_sec\": %.6f, \"sim_packets\": %llu,\n"
+        "     \"wall_sec\": %.6f, \"loop_sec\": %.6f, \"sim_packets\": %llu,\n"
         "     \"packets_per_sec\": %.1f, \"ns_per_packet\": %.1f,\n"
         "     \"core_links\": %llu,\n"
         "     \"core_link_imbalance\": %.6f, \"afct_s\": %.9f,\n"
@@ -307,6 +318,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.k),
         static_cast<unsigned long long>(r.workers),
         static_cast<unsigned long long>(r.workers_used),
+        static_cast<unsigned long long>(r.domains), r.max_domain_event_share,
         static_cast<unsigned long long>(r.hosts),
         static_cast<unsigned long long>(r.switches),
         static_cast<unsigned long long>(r.flows),
@@ -314,7 +326,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.unfinished),
         static_cast<unsigned long long>(r.peak_rss_bytes), r.setup_sec,
         static_cast<unsigned long long>(r.route_table_bytes),
-        r.route_bytes_per_switch, r.wall_sec,
+        r.route_bytes_per_switch, r.wall_sec, r.loop_sec,
         static_cast<unsigned long long>(r.sim_packets), r.packets_per_sec,
         r.ns_per_packet, static_cast<unsigned long long>(r.core_links),
         r.core_link_imbalance, r.afct_s, r.end_time_s,

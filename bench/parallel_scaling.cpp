@@ -1,6 +1,8 @@
 // Parallel-engine scaling bench: wall-clock, synchronization rounds, mailbox
-// traffic and barrier-wait fractions as the domain count grows, per protocol
-// and per fabric.
+// traffic and barrier-wait fractions as the worker count grows, per protocol
+// and per fabric. The three-tier tree runs one domain per worker; the k=8
+// fat-tree runs one domain per pod (8) at every worker count, and each row
+// records its domain count.
 //
 // Grid: workers {1, 2, 4, 8} x {three-tier web-search, k=8 fat-tree} x
 // {pase, pfabric, dctcp}. Every parallel run uses the conditional-lookahead
@@ -12,7 +14,7 @@
 //
 // A separate "lookahead" section isolates the conditional horizon's best
 // case: pod-local traffic on a k=8 fat-tree (16 hosts per pod, one pod per
-// domain at workers=4). No flow crosses a pod boundary, so every event sits
+// domain, 4 workers). No flow crosses a pod boundary, so every event sits
 // at least an edge-agg-core store-and-forward distance from the nearest cut
 // link, and the probe certifies windows that span whole ACK exchanges. CI
 // gates conditional_rounds < static_rounds here, and rounds <= static rounds
@@ -45,6 +47,7 @@ struct CaseOut {
   std::string topology;
   int workers = 1;
   int workers_used = 1;
+  int domains = 0;  // zero for sequential rows
   std::string fallback_reason;
   std::uint64_t flows = 0;
   std::uint64_t sim_packets = 0;
@@ -135,6 +138,7 @@ CaseOut run_case(ScenarioConfig cfg, const char* topology, Protocol proto,
   c.topology = topology;
   c.workers = workers;
   c.workers_used = r.workers_used;
+  c.domains = static_cast<int>(metric(r, "parallel.domains"));
   c.fallback_reason = r.parallel_fallback_reason;
   c.flows = r.total_flows();
   c.sim_packets = r.data_packets_sent;
@@ -226,7 +230,7 @@ LookaheadOut run_lookahead(bool quick) {
   cfg.protocol = Protocol::kDctcp;
   cfg.topology = ScenarioConfig::TopologyKind::kFatTree;
   cfg.fattree.k = 8;
-  cfg.workers = 4;  // one pod per domain (4 pods of 16 hosts)
+  cfg.workers = 4;  // 8 pod domains of 16 hosts each
   const std::vector<transport::Flow> flows =
       pod_local_flows(cfg.fattree, quick ? 200 : 800);
 
@@ -267,7 +271,8 @@ void append_case_json(std::string& json, const CaseOut& c, bool last) {
   std::snprintf(
       row, sizeof(row),
       "    {\"protocol\": \"%s\", \"topology\": \"%s\", \"workers\": %d,\n"
-      "     \"workers_used\": %d, \"fallback_reason\": \"%s\",\n"
+      "     \"workers_used\": %d, \"domains\": %d,"
+      " \"fallback_reason\": \"%s\",\n"
       "     \"flows\": %llu, \"sim_packets\": %llu, \"wall_sec\": %.6f,\n"
       "     \"packets_per_sec\": %.1f, \"afct_s\": %.9f, "
       "\"end_time_s\": %.6f,\n"
@@ -275,7 +280,7 @@ void append_case_json(std::string& json, const CaseOut& c, bool last) {
       "     \"cross_posts\": %llu, \"horizon_width_mean_s\": %.9g,\n"
       "     \"barrier_wait_sec\": %.6f, \"barrier_wait_frac\": %.6f",
       c.protocol.c_str(), c.topology.c_str(), c.workers, c.workers_used,
-      c.fallback_reason.c_str(),
+      c.domains, c.fallback_reason.c_str(),
       static_cast<unsigned long long>(c.flows),
       static_cast<unsigned long long>(c.sim_packets), c.wall_sec,
       c.packets_per_sec, c.afct_s, c.end_time_s,
@@ -321,9 +326,10 @@ int main(int argc, char** argv) {
   std::printf("parallel scaling (%s): conditional lookahead, static min-cut "
               "re-run at workers=4\n",
               quick ? "quick" : "full");
-  std::printf("%-8s %-12s %3s %4s %8s %9s %9s %8s %9s %10s %7s %10s\n",
-              "proto", "topo", "w", "used", "wall(s)", "rounds", "drains",
-              "quiet", "posts", "width(us)", "bwait%", "static_rds");
+  std::printf("%-8s %-12s %3s %4s %4s %8s %9s %9s %8s %9s %10s %7s %10s\n",
+              "proto", "topo", "w", "used", "dom", "wall(s)", "rounds",
+              "drains", "quiet", "posts", "width(us)", "bwait%",
+              "static_rds");
 
   std::string json = "{\n  \"bench\": \"parallel\",\n  \"mode\": \"";
   json += quick ? "quick" : "full";
@@ -335,9 +341,10 @@ int main(int argc, char** argv) {
       for (const int w : worker_counts) {
         const CaseOut c = run_case(t.cfg, t.name, p, w, /*with_static=*/w == 4);
         std::printf(
-            "%-8s %-12s %3d %4d %8.3f %9llu %9llu %8llu %9llu %10.2f %7.2f",
+            "%-8s %-12s %3d %4d %4d %8.3f %9llu %9llu %8llu %9llu %10.2f "
+            "%7.2f",
             c.protocol.c_str(), c.topology.c_str(), c.workers, c.workers_used,
-            c.wall_sec, static_cast<unsigned long long>(c.rounds),
+            c.domains, c.wall_sec, static_cast<unsigned long long>(c.rounds),
             static_cast<unsigned long long>(c.drains),
             static_cast<unsigned long long>(c.quiet_rounds),
             static_cast<unsigned long long>(c.cross_posts),

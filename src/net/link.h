@@ -79,8 +79,8 @@ class Link {
   // link. Sequential runs never arm and pay one predicted branch per hop.
   void arm_activity_tracking() { activity_armed_ = true; }
   // Local (intra-domain) link: a packet is serializing or propagating, so an
-  // event will fire at the destination node. Read only by the owning
-  // domain's thread.
+  // event will fire at the destination node. Read only by the thread
+  // running the owning domain.
   bool probe_local_active() const { return busy_ || inflight_ > 0; }
   // Cut link, source-side view: a packet is serializing; its delivery will
   // be posted at tx-done + prop_delay. Read only by the source domain.

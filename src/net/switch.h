@@ -320,7 +320,8 @@ class Switch : public Node {
 
   // Resolves a grouped destination for packet `p`, via the memo when
   // enabled. Mutates only the cache; safe because a switch's forwarding runs
-  // on exactly one domain thread (packets are handed over at barriers).
+  // in exactly one domain, which one thread runs at a time (packets and
+  // domains change threads only across barriers).
   int select_group_port(const Group& g, const Packet& p) const {
     if (path_cache_capacity_ != 0) {
       if (path_cache_.empty()) [[unlikely]] {

@@ -7,18 +7,36 @@
 
 namespace pase::sim {
 
-ParallelEngine::ParallelEngine(int domains)
-    : lineage_(domains), start_barrier_(domains), round_barrier_(domains) {
+namespace {
+int clamp_workers(int domains, int workers) {
+  return std::max(1, std::min(workers, domains));
+}
+}  // namespace
+
+ParallelEngine::ParallelEngine(int domains, int workers)
+    : lineage_(domains),
+      pub_(static_cast<std::size_t>(domains)),
+      workers_(static_cast<std::size_t>(clamp_workers(domains, workers))),
+      start_barrier_(clamp_workers(domains, workers)),
+      round_barrier_(clamp_workers(domains, workers)) {
   PASE_DCHECK(domains >= 1);
   sims_.reserve(static_cast<std::size_t>(domains));
   for (int d = 0; d < domains; ++d) {
     sims_.push_back(std::make_unique<Simulator>());
     sims_.back()->enable_det(static_cast<std::uint32_t>(d), &lineage_);
   }
+  // Mailboxes grow to their steady size in the first windows and keep it
+  // (clear() retains capacity); with one domain per pod there are D^2 of
+  // them, so none is pre-sized.
   mail_.resize(static_cast<std::size_t>(domains) *
                static_cast<std::size_t>(domains));
-  for (auto& box : mail_) box.reserve(256);
-  pub_.resize(static_cast<std::size_t>(domains));
+  const int n = num_workers();
+  for (int w = 0; w < n; ++w) {
+    Worker& wk = workers_[static_cast<std::size_t>(w)];
+    wk.begin = w * domains / n;
+    wk.end = (w + 1) * domains / n;
+  }
+  reset_claims();
 }
 
 ParallelEngine::~ParallelEngine() {
@@ -51,20 +69,40 @@ std::size_t ParallelEngine::pending_events() const {
 
 void ParallelEngine::start_threads() {
   threads_started_ = true;
-  threads_.reserve(sims_.size() - 1);
-  for (int d = 1; d < num_domains(); ++d) {
-    threads_.emplace_back([this, d] { worker_main(d); });
+  threads_.reserve(workers_.size() - 1);
+  for (int w = 1; w < num_workers(); ++w) {
+    threads_.emplace_back([this, w] { worker_main(w); });
   }
-  if (thread_init_) thread_init_(0);
+  if (thread_init_) thread_init_();
 }
 
-void ParallelEngine::worker_main(int d) {
-  if (thread_init_) thread_init_(d);
+void ParallelEngine::worker_main(int w) {
+  if (thread_init_) thread_init_();
   for (;;) {
     start_barrier_.arrive_and_wait([] {});
     if (exit_) return;
-    run_rounds(d);
+    run_rounds(w);
   }
+}
+
+int ParallelEngine::claim(int w) {
+  const int n = num_workers();
+  for (int i = 0; i < n; ++i) {
+    Worker& b = workers_[static_cast<std::size_t>((w + i) % n)];
+    // Exclusivity is all the claim needs: the domain's state was handed
+    // over by the barrier that opened this round.
+    if (b.next.load(std::memory_order_relaxed) >= b.end) continue;
+    const int d = b.next.fetch_add(1, std::memory_order_relaxed);
+    if (d < b.end) {
+      obs::install_tracer(pub_[static_cast<std::size_t>(d)].trace);
+      return d;
+    }
+  }
+  return -1;
+}
+
+void ParallelEngine::reset_claims() {
+  for (Worker& w : workers_) w.next.store(w.begin, std::memory_order_relaxed);
 }
 
 void ParallelEngine::drain_inbox(int d) {
@@ -84,9 +122,9 @@ void ParallelEngine::drain_inbox(int d) {
   }
 }
 
-void ParallelEngine::publish(int d, Simulator& sd) {
+void ParallelEngine::publish(int d) {
   DomainPub& pub = pub_[static_cast<std::size_t>(d)];
-  const Time nt = sd.next_event_time();
+  const Time nt = domain(d).next_event_time();
   pub.next_t = nt;
   if (nt == kTimeInfinity) {
     pub.bound = kTimeInfinity;
@@ -149,10 +187,7 @@ void ParallelEngine::decide() {
   posts_at_decide_ = cross_posts_.load(std::memory_order_relaxed);
 }
 
-void ParallelEngine::run_rounds(int d) {
-  Simulator& sd = domain(d);
-  DomainPub& pub = pub_[static_cast<std::size_t>(d)];
-  pub.trace = obs::tracer();
+void ParallelEngine::run_rounds(int w) {
   double waited = 0.0;
   for (;;) {
     switch (round_) {
@@ -161,18 +196,24 @@ void ParallelEngine::run_rounds(int d) {
         // barrier that ended it; after this drain the union of all calendars
         // is the complete global pending set, so the published minima are
         // exact and the probe sees empty mailboxes.
-        drain_inbox(d);
-        publish(d, sd);
+        for (int d = claim(w); d >= 0; d = claim(w)) {
+          drain_inbox(d);
+          publish(d);
+        }
         waited += round_barrier_.arrive_and_wait([this] {
+          reset_claims();
           ++drains_;
           decide();
         });
         break;
 
       case Round::kWindow:
-        sd.run_before(horizon_);
-        publish(d, sd);
+        for (int d = claim(w); d >= 0; d = claim(w)) {
+          domain(d).run_before(horizon_);
+          publish(d);
+        }
         waited += round_barrier_.arrive_and_wait([this] {
+          reset_claims();
           if (cross_posts_.load(std::memory_order_relaxed) ==
               posts_at_decide_) {
             // Quiet window: nobody posted, so the mailboxes are still empty
@@ -189,11 +230,13 @@ void ParallelEngine::run_rounds(int d) {
         break;
 
       case Round::kFinish:
-        sd.run(target_);  // inclusive; also advances the clock to target
-        waited += round_barrier_.arrive_and_wait([] {});
-        pub.barrier_wait += waited;
+        for (int d = claim(w); d >= 0; d = claim(w)) {
+          domain(d).run(target_);  // inclusive; also advances the clock
+        }
+        waited += round_barrier_.arrive_and_wait([this] { reset_claims(); });
+        workers_[static_cast<std::size_t>(w)].barrier_wait += waited;
         // Seals the barrier_wait writes: the caller reads them only after
-        // domain 0 passes this barrier.
+        // worker 0 passes this barrier.
         round_barrier_.arrive_and_wait([] {});
         return;
     }
@@ -202,15 +245,6 @@ void ParallelEngine::run_rounds(int d) {
 
 void ParallelEngine::run_until(Time target) {
   PASE_DCHECK(lookahead_ > 0.0 && "parallel run requires positive lookahead");
-  if (num_domains() == 1) {
-    // Degenerate single-domain engine: plain sequential execution, still in
-    // det mode, so its lineage is compacted between runs.
-    pub_[0].trace = obs::tracer();
-    if (lineage_.compaction_due()) compact();
-    domain(0).run(target);
-    now_ = target;
-    return;
-  }
   if (!threads_started_) start_threads();
   const std::uint64_t rounds_before = rounds_;
   const std::uint64_t posts_before = cross_posts();
@@ -221,11 +255,13 @@ void ParallelEngine::run_until(Time target) {
   // The finish phase of the previous chunk may have posted deliveries that
   // land in this chunk; always open with a drain.
   round_ = Round::kDrain;
+  obs::TraceBuffer* const caller_trace = obs::tracer();
   start_barrier_.arrive_and_wait([] {});
   run_rounds(0);
+  obs::install_tracer(caller_trace);
   now_ = target;
   ++windows_;
-  if (obs::TraceBuffer* tb = obs::tracer(); tb != nullptr) [[unlikely]] {
+  if (obs::TraceBuffer* tb = pub_[0].trace; tb != nullptr) [[unlikely]] {
     // Engine self-profiling is inherently worker-count dependent; it lives
     // in its own category so determinism tests can filter it out.
     const std::uint64_t dw = window_rounds_ - wrounds_before;

@@ -1,12 +1,13 @@
 // Conservative barrier-synchronous parallel execution of one simulation.
 //
-// The network is partitioned into domains, one Simulator (and one worker
-// thread) each. Every cross-domain interaction is a Link delivery whose
-// propagation delay is at least the partition lookahead L, so the classic
-// conservative-PDES window applies: with m = min over domains of the next
-// pending event time, every event in [m, H) can run without hearing from any
-// other domain, for any horizon H that no cross-domain delivery can undercut.
-// The engine runs three kinds of barrier-separated rounds:
+// The network is partitioned into domains, one Simulator each, run by a
+// smaller or equal number of worker threads. Every cross-domain interaction
+// is a Link delivery whose propagation delay is at least the partition
+// lookahead L, so the classic conservative-PDES window applies: with m = min
+// over domains of the next pending event time, every event in [m, H) can run
+// without hearing from any other domain, for any horizon H that no
+// cross-domain delivery can undercut. The engine runs three kinds of
+// barrier-separated rounds:
 //
 //   drain   — every domain empties its incoming mailboxes into its calendar
 //             (after which the union of calendars is the complete global
@@ -22,6 +23,13 @@
 //             Simulator::run(target), so the chunked scenario driver behaves
 //             identically to its sequential form.
 //
+// Scheduling: domains are not pinned to threads. Worker w owns the block of
+// domains [w*D/W, (w+1)*D/W); in every round it claims domains from its own
+// block first, then steals unclaimed ones from the other blocks in ring
+// order, so no worker waits at a barrier while another still has domains
+// left to run. Each block's claim cursor is reset by the round leader inside
+// the barrier. With as many domains as workers nobody ever steals.
+//
 // The safe bound defaults to next_t + L (the static min-cut window). A
 // caller-installed horizon probe can widen it per domain per round to
 // next_t + D, where D is a certified lower bound on the delay before *this
@@ -34,11 +42,18 @@
 // computed by whichever thread arrives last from published per-domain
 // bounds; mailbox records carry DetLineage nodes interned in the source
 // domain, so injected deliveries sort against local events exactly where the
-// sequential FIFO order would place them (see det_lineage.h). All mailbox
-// access is separated by barriers: producers append only during run phases,
-// consumers drain only between them. The probe influences only *when* events
-// run, never their order, so traces stay bit-identical across worker counts
-// and probe choices.
+// sequential FIFO order would place them (see det_lineage.h). Which worker
+// runs a domain never matters: a domain's event order depends only on its
+// calendar and the lineage, each domain runs on one thread per round, and
+// every handoff of a domain between threads crosses a barrier. All mailbox
+// access is separated by barriers too: producers append only during run
+// phases, consumers drain only between them, so each mailbox has one writer
+// per window. The only thread-local state a domain touches is the packet
+// pool (packets may migrate between pools, as they do across cut links) and
+// the tracer, which follows the domain: its trace ring is installed on the
+// claiming thread before the domain runs. The probe influences only *when*
+// events run, never their order, so traces stay bit-identical across worker
+// counts and probe choices.
 //
 // Memory: when the lineage budget is spent, the leader that decides a round
 // also compacts the lineage (every domain quiescent, every mailbox empty),
@@ -65,15 +80,17 @@ namespace pase::sim {
 
 class ParallelEngine {
  public:
-  // Creates `domains` Simulators. Worker threads (one per domain beyond the
-  // caller's, which executes domain 0) start lazily on the first run_until.
-  explicit ParallelEngine(int domains);
+  // Creates `domains` Simulators, run by min(workers, domains) threads: the
+  // caller's (worker 0) plus the rest, started lazily on the first
+  // run_until.
+  ParallelEngine(int domains, int workers);
   ~ParallelEngine();
 
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
   int num_domains() const { return static_cast<int>(sims_.size()); }
+  int num_workers() const { return static_cast<int>(workers_.size()); }
   Simulator& domain(int d) { return *sims_[static_cast<std::size_t>(d)]; }
   // The shared lineage arena (every domain runs in det mode); exposed so
   // callers can order out-of-band records (e.g. deferred completion
@@ -110,10 +127,17 @@ class ParallelEngine {
   void set_horizon_probe(HorizonProbe probe) { probe_ = std::move(probe); }
 
   // Runs once on each worker thread before its first round (and once on the
-  // caller's thread for domain 0): thread-local warmup such as packet-pool
+  // caller's thread, worker 0): thread-local warmup such as packet-pool
   // prewarming.
-  void set_thread_init(std::function<void(int domain)> fn) {
+  void set_thread_init(std::function<void()> fn) {
     thread_init_ = std::move(fn);
+  }
+
+  // Domain d's trace ring: installed as the running thread's tracer before
+  // d runs, whichever worker claimed it, so every record lands in the ring
+  // of the domain that emitted it. Unset: d runs untraced.
+  void set_domain_trace(int d, obs::TraceBuffer* trace) {
+    pub_[static_cast<std::size_t>(d)].trace = trace;
   }
 
   // Frees the payload of records still in flight at destruction (a run may
@@ -125,7 +149,8 @@ class ParallelEngine {
 
   // Posts a cross-domain event: fires at `deliver_t` in `dst`, ordered by a
   // lineage node captured from `src`'s executing event right now. Must be
-  // called from the thread running domain `src`, during a run phase.
+  // called from the thread currently running domain `src`, during a run
+  // phase.
   void post(int src, int dst, Time deliver_t, RawFn fn, void* ctx, void* arg);
 
   // Advances every domain clock to exactly `target` (monotonically
@@ -162,10 +187,10 @@ class ParallelEngine {
                : horizon_width_sum_ / static_cast<double>(window_rounds_);
   }
   // Total wall-clock seconds threads spent blocked in round barriers after
-  // the bounded spin phase (summed over domains; load-imbalance signal).
+  // the bounded spin phase (summed over workers; load-imbalance signal).
   double barrier_wait_sec() const {
     double s = 0.0;
-    for (const DomainPub& p : pub_) s += p.barrier_wait;
+    for (const Worker& w : workers_) s += w.barrier_wait;
     return s;
   }
 
@@ -183,8 +208,17 @@ class ParallelEngine {
   struct alignas(64) DomainPub {
     Time next_t = kTimeInfinity;  // next pending event time
     Time bound = kTimeInfinity;   // earliest possible cross-domain delivery
-    double barrier_wait = 0.0;    // accumulated post-spin barrier wait (sec)
-    obs::TraceBuffer* trace = nullptr;  // the domain thread's trace ring
+    obs::TraceBuffer* trace = nullptr;  // the domain's trace ring, if any
+  };
+
+  // Per-worker state: the claim cursor over the worker's block of domains
+  // [begin, end) — bumped by the owner and by thieves during a round, reset
+  // to begin by the round leader — and the worker's own barrier wait.
+  struct alignas(64) Worker {
+    std::atomic<int> next{0};
+    int begin = 0;
+    int end = 0;
+    double barrier_wait = 0.0;  // accumulated post-spin barrier wait (sec)
   };
 
   // Sense-reversing barrier; the last arriver runs `leader_fn` before
@@ -242,16 +276,22 @@ class ParallelEngine {
   }
 
   void start_threads();
-  void worker_main(int d);
-  void run_rounds(int d);
+  void worker_main(int w);
+  void run_rounds(int w);
+  // Claims the next domain of this round for worker w: its own block
+  // first, then the other blocks in ring order; -1 once all are claimed.
+  // Installs the claimed domain's trace ring on the calling thread.
+  int claim(int w);
+  void reset_claims();  // barrier-leader only
   void drain_inbox(int d);
-  void publish(int d, Simulator& sd);
+  void publish(int d);
   void decide();  // barrier-leader only
 
   DetLineage lineage_;  // before sims_: domains intern nodes into it
   std::vector<std::unique_ptr<Simulator>> sims_;
-  std::vector<std::vector<CrossRecord>> mail_;  // [src * W + dst]
+  std::vector<std::vector<CrossRecord>> mail_;  // [src * D + dst]
   std::vector<DomainPub> pub_;                  // published per round
+  std::vector<Worker> workers_;
   HorizonProbe probe_;
   Time lookahead_ = 0.0;
   Time now_ = 0.0;
@@ -287,7 +327,7 @@ class ParallelEngine {
   Barrier round_barrier_;
   std::vector<std::thread> threads_;
   bool threads_started_ = false;
-  std::function<void(int)> thread_init_;
+  std::function<void()> thread_init_;
   std::function<void(RawFn, void*, void*)> orphan_deleter_;
 };
 

@@ -6,25 +6,43 @@
 
 namespace pase::topo {
 
+namespace {
+
+// Atomic units: maximal runs of consecutive hosts sharing a (non-negative)
+// partition group; ungrouped hosts are singletons. Element i is the unit
+// index of host creation-index i — nondecreasing by construction, so the
+// unit count is back() + 1.
+std::vector<std::size_t> host_units(const Topology& topo) {
+  const auto& hosts = topo.hosts();
+  std::vector<std::size_t> unit_of_host(hosts.size(), 0);
+  std::size_t unit = 0;
+  for (std::size_t i = 1; i < hosts.size(); ++i) {
+    const int g = topo.partition_group(hosts[i]->id());
+    const int prev = topo.partition_group(hosts[i - 1]->id());
+    if (g < 0 || g != prev) ++unit;
+    unit_of_host[i] = unit;
+  }
+  return unit_of_host;
+}
+
+}  // namespace
+
+int domains_for_workers(const Topology& topo, int workers) {
+  for (const auto& h : topo.hosts()) {
+    if (topo.partition_group(h->id()) >= 0) {
+      return static_cast<int>(host_units(topo).back() + 1);
+    }
+  }
+  return workers;
+}
+
 Partition partition_topology(const Topology& topo, int domains) {
   const auto& hosts = topo.hosts();
   const auto& switches = topo.switches();
   const std::size_t num_nodes = hosts.size() + switches.size();
 
-  // Atomic units: maximal runs of consecutive hosts sharing a (non-negative)
-  // partition group; ungrouped hosts are singletons. unit_of_host[i] is the
-  // unit index of host creation-index i — nondecreasing by construction.
-  std::vector<std::size_t> unit_of_host(hosts.size(), 0);
-  std::size_t num_units = 0;
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    if (i > 0) {
-      const int g = topo.partition_group(hosts[i]->id());
-      const int prev = topo.partition_group(hosts[i - 1]->id());
-      if (g < 0 || g != prev) ++num_units;
-    }
-    unit_of_host[i] = num_units;
-  }
-  if (!hosts.empty()) ++num_units;
+  const std::vector<std::size_t> unit_of_host = host_units(topo);
+  const std::size_t num_units = hosts.empty() ? 0 : unit_of_host.back() + 1;
 
   Partition part;
   part.domains = std::max(
@@ -93,23 +111,46 @@ Partition partition_topology(const Topology& topo, int domains) {
     v.erase(std::unique(v.begin(), v.end()), v.end());
   }
 
-  // Remaining switches (ToRs, cores) join the domain of their lowest-id
-  // assigned neighbor; repeat until stable (a pass per tree tier suffices,
-  // but the loop is general).
+  // Ports (links) each domain holds so far: the tie-break that deals
+  // symmetric switches out evenly.
+  const std::size_t num_domains = static_cast<std::size_t>(part.domains);
+  std::vector<std::size_t> ports(num_domains, 0);
+  for (std::size_t id = 0; id < num_nodes; ++id) {
+    const int d = part.domain_of[id];
+    if (d != -1) ports[static_cast<std::size_t>(d)] += adj[id].size();
+  }
+
+  // Remaining switches (ToRs, cores) join the domain holding most of their
+  // assigned neighbors — ties to the fewest ports so far, then the lowest
+  // id; repeat until stable (a pass per tree tier suffices, but the loop is
+  // general).
+  std::vector<int> votes(num_domains);
   bool progress = true;
   while (progress) {
     progress = false;
     for (const auto& sw : switches) {
       const std::size_t id = static_cast<std::size_t>(sw->id());
       if (part.domain_of[id] != -1) continue;
+      std::fill(votes.begin(), votes.end(), 0);
+      bool seen = false;
       for (const net::NodeId n : adj[id]) {
         const int nd = part.domain_of[static_cast<std::size_t>(n)];
         if (nd != -1) {
-          part.domain_of[id] = nd;
-          progress = true;
-          break;
+          ++votes[static_cast<std::size_t>(nd)];
+          seen = true;
         }
       }
+      if (!seen) continue;
+      std::size_t best = 0;
+      for (std::size_t d = 1; d < num_domains; ++d) {
+        if (votes[d] > votes[best] ||
+            (votes[d] == votes[best] && ports[d] < ports[best])) {
+          best = d;
+        }
+      }
+      part.domain_of[id] = static_cast<int>(best);
+      ports[best] += adj[id].size();
+      progress = true;
     }
   }
   // Disconnected switches (none in the built topologies) default to 0.

@@ -6,13 +6,20 @@
 // equal blocks — so on group-free topologies this degenerates exactly to
 // the old per-host block split, while grouped topologies never see a group
 // straddle a domain boundary. Switches carrying a partition group follow
-// their group's hosts; the rest (ToRs, cores) join the domain of their
-// lowest-id already-assigned neighbor, which pulls a ToR into the domain of
-// its first host and core switches toward the leftmost subtree below them.
-// Every link whose endpoints land in different domains is a cut link; the
-// minimum propagation delay over the cuts is the engine's lookahead. A
-// partition with a zero-delay cut link (or a single domain) is unusable and
-// the scenario harness falls back to sequential execution.
+// their group's hosts. Each remaining switch (ToRs, three-tier aggs and
+// core, fat-tree cores) joins the domain holding most of its already
+// assigned neighbors; ties go to the domain with the fewest ports so far,
+// then to the lowest domain id. A ToR thus follows the majority of its
+// hosts, and fat-tree cores — one agg neighbor in every pod — deal out
+// evenly over the domains instead of piling into the first one. Every link
+// whose endpoints land in different domains is a cut link; the minimum
+// propagation delay over the cuts is the engine's lookahead. A partition
+// with a zero-delay cut link (or a single domain) is unusable and the
+// scenario harness falls back to sequential execution.
+//
+// How many domains to ask for is a separate choice (domains_for_workers):
+// one per group when the topology declares groups, so the parallel engine's
+// workers can balance whole pods dynamically; one per worker otherwise.
 #pragma once
 
 #include <vector>
@@ -46,5 +53,10 @@ struct Partition {
 // atomic host units — the host count when no partition groups are set).
 // Deterministic: depends only on the topology's creation order and groups.
 Partition partition_topology(const Topology& topo, int domains);
+
+// The domain count a run on `workers` threads partitions into: the number
+// of atomic host units when any host carries a partition group (one domain
+// per fat-tree pod, at any worker count), `workers` otherwise.
+int domains_for_workers(const Topology& topo, int workers);
 
 }  // namespace pase::topo

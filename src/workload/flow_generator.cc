@@ -1,7 +1,7 @@
 #include "workload/flow_generator.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace pase::workload {
 
@@ -83,9 +83,16 @@ void emit_incast_query(const WorkloadConfig& cfg, sim::Rng& rng, double t,
 }  // namespace
 
 std::vector<transport::Flow> generate_flows(const WorkloadConfig& cfg) {
-  assert(cfg.num_hosts >= 2);
-  assert(cfg.pattern != Pattern::kLeftRight ||
-         (cfg.left_hosts > 0 && cfg.left_hosts < cfg.num_hosts));
+  // Caller input, checked in every build: with one host the destination
+  // redraw loops below never terminate.
+  if (cfg.num_hosts < 2) {
+    throw std::invalid_argument("generate_flows: num_hosts must be >= 2");
+  }
+  if (cfg.pattern == Pattern::kLeftRight &&
+      (cfg.left_hosts <= 0 || cfg.left_hosts >= cfg.num_hosts)) {
+    throw std::invalid_argument(
+        "generate_flows: left-right needs 0 < left_hosts < num_hosts");
+  }
   sim::Rng rng(cfg.seed);
   std::vector<transport::Flow> flows;
   flows.reserve(static_cast<std::size_t>(cfg.num_flows) +
@@ -143,6 +150,8 @@ std::vector<transport::Flow> generate_flows(const WorkloadConfig& cfg) {
         } while (f.src == f.dst);
         break;
       }
+      case Pattern::kIncast:
+        break;  // generated in query bursts above
     }
     flows.push_back(f);
   }

@@ -63,7 +63,9 @@ struct WorkloadConfig {
 double arrival_rate_per_sec(const WorkloadConfig& cfg);
 
 // Materializes the flow list (sorted by start time). Flow ids start at 1;
-// background flows get the highest ids and Flow::background = true.
+// background flows get the highest ids and Flow::background = true. Throws
+// std::invalid_argument when num_hosts < 2, or when a left-right pattern
+// does not split the hosts (0 < left_hosts < num_hosts).
 std::vector<transport::Flow> generate_flows(const WorkloadConfig& cfg);
 
 }  // namespace pase::workload

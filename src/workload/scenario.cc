@@ -631,19 +631,19 @@ std::optional<ScenarioResult> try_run_parallel(
   // the engine joins its pool.
   std::vector<std::unique_ptr<obs::TraceBuffer>> tbufs;
   std::vector<std::string> queue_names;
-  // The engine is declared first so it is destroyed last: sender, receiver
-  // and control-plane destructors cancel timers on their domain simulators.
-  sim::ParallelEngine engine(cfg.workers);
-  const int n_dom = engine.num_domains();
 
+  // The domain count comes from the built topology, so the topology is
+  // built on a construction clock that outlives everything below; every
+  // link is rebound to its domain's simulator before anything runs.
+  sim::Simulator build_sim;
   std::unique_ptr<topo::BuiltTopology> built_ptr =
-      topology_builder(cfg)->build(engine.domain(0),
-                                   profile.make_queue_factory(cfg));
+      topology_builder(cfg)->build(build_sim, profile.make_queue_factory(cfg));
   topo::BuiltTopology& built = *built_ptr;
   topo::Topology& topo = built.topo();
   apply_switch_tuning(built, cfg);
 
-  const topo::Partition part = partition_topology(topo, cfg.workers);
+  const topo::Partition part = partition_topology(
+      topo, topo::domains_for_workers(topo, cfg.workers));
   if (!part.usable()) {
     if (reason != nullptr) {
       *reason = part.domains < 2
@@ -652,6 +652,10 @@ std::optional<ScenarioResult> try_run_parallel(
     }
     return std::nullopt;
   }
+  // Declared before the control plane and the endpoints so it is destroyed
+  // after them: their destructors cancel timers on the domain simulators.
+  sim::ParallelEngine engine(part.domains, cfg.workers);
+  const int n_dom = engine.num_domains();
   engine.set_lookahead(part.lookahead);
   if (cfg.profile) {
     for (int d = 0; d < n_dom; ++d) engine.domain(d).enable_profiling();
@@ -770,30 +774,34 @@ std::optional<ScenarioResult> try_run_parallel(
     dctx.back().sim_resolver = ctx0.sim_resolver;
   }
 
-  // Pre-size each domain's calendar and packet pool like the sequential path
-  // does, scaled to the domain's share of hosts and launches.
-  std::vector<std::size_t> dom_hosts(static_cast<std::size_t>(n_dom), 0);
-  for (const auto& h : topo.hosts()) {
-    ++dom_hosts[static_cast<std::size_t>(part.domain_of_node(h->id()))];
-  }
-  // One trace ring per domain, installed on whichever thread runs that
-  // domain (the caller thread for domain 0). Lineage keys stamped on every
-  // record let the buffers merge back into sequential emission order.
+  // One trace ring per domain, which the engine installs on whichever
+  // thread claims that domain. Lineage keys stamped on every record let the
+  // buffers merge back into sequential emission order.
   if (cfg.trace.enabled) {
     queue_names = obs::label_fabric_queues(topo);
     tbufs.reserve(static_cast<std::size_t>(n_dom));
     for (int d = 0; d < n_dom; ++d) {
       tbufs.push_back(std::make_unique<obs::TraceBuffer>(
           cfg.trace.buffer_capacity, cfg.trace.categories));
+      engine.set_domain_trace(d, tbufs.back().get());
     }
   }
-  engine.set_thread_init([&dom_hosts, &tbufs](int d) {
-    net::PacketPool::local().prewarm(
-        dom_hosts[static_cast<std::size_t>(d)] * 16 + 256);
-    if (!tbufs.empty()) {
-      obs::install_tracer(tbufs[static_cast<std::size_t>(d)].get());
-    }
+  // Any worker may run any domain, so each worker's packet pool is
+  // prewarmed with its share of the hosts.
+  const std::size_t worker_packets =
+      topo.hosts().size() * 16 /
+          static_cast<std::size_t>(engine.num_workers()) +
+      256;
+  engine.set_thread_init([worker_packets] {
+    net::PacketPool::local().prewarm(worker_packets);
   });
+
+  // Pre-size each domain's calendar like the sequential path does, scaled
+  // to the domain's share of hosts and launches.
+  std::vector<std::size_t> dom_hosts(static_cast<std::size_t>(n_dom), 0);
+  for (const auto& h : topo.hosts()) {
+    ++dom_hosts[static_cast<std::size_t>(part.domain_of_node(h->id()))];
+  }
 
   // Pending descriptors, records and bookkeeping. record index == flow
   // index; activation order is start-time order (stable on flow index for
@@ -827,9 +835,10 @@ std::optional<ScenarioResult> try_run_parallel(
                    });
   std::size_t next_pending = 0;
 
-  // Completion records deferred to chunk boundaries. Worker threads only
-  // ever touch their own domain's list; the main thread merges between
-  // run_until calls, with the barriers providing the happens-before edges.
+  // Completion records deferred to chunk boundaries. A worker thread only
+  // touches the lists of the domains it is running; the main thread merges
+  // between run_until calls, with the barriers providing the happens-before
+  // edges.
   struct Completion {
     sim::DetLineage::NodeId node;
     sim::Time time;
@@ -1035,20 +1044,21 @@ std::optional<ScenarioResult> try_run_parallel(
       result.control = *st;
     }
   }
-  std::uint64_t executed = 0, rebuilds = 0;
+  std::uint64_t executed = 0, rebuilds = 0, max_domain_executed = 0;
   for (int d = 0; d < n_dom; ++d) {
     result.heap_closure_events += engine.domain(d).heap_closure_events();
     executed += engine.domain(d).executed_events();
+    max_domain_executed =
+        std::max(max_domain_executed, engine.domain(d).executed_events());
     rebuilds += engine.domain(d).calendar_rebuilds();
   }
-  result.workers_used = part.domains;
+  result.workers_used = engine.num_workers();
   result.parallel_barrier_wait_sec = engine.barrier_wait_sec();
   // Passes made while the run was going, not the trace-sealing one below.
   const std::uint64_t compactions = engine.lineage().compactions();
   if (telemetry) result.telemetry = telemetry->finish(result.end_time);
 
   if (!tbufs.empty()) {
-    obs::install_tracer(nullptr);  // caller thread ran domain 0
     for (int d = 0; d < n_dom; ++d) {
       tbufs[static_cast<std::size_t>(d)]->emit_at(
           result.end_time, obs::kEngineCat, obs::EventType::kEngineSample, 0,
@@ -1071,6 +1081,14 @@ std::optional<ScenarioResult> try_run_parallel(
   fold_common_metrics(reg, result, built);
   reg.counter("engine.executed_events") = executed;
   reg.counter("engine.calendar_rebuilds") = rebuilds;
+  reg.counter("parallel.domains") = static_cast<std::uint64_t>(n_dom);
+  // The largest domain's share of all executed events: deterministic, and
+  // times the worker count it bounds how far static placement alone would
+  // leave one worker behind the mean.
+  reg.gauge("parallel.max_domain_event_share") =
+      executed == 0 ? 0.0
+                    : static_cast<double>(max_domain_executed) /
+                          static_cast<double>(executed);
   reg.counter("parallel.rounds") = engine.rounds_executed();
   reg.counter("parallel.windows") = engine.windows_executed();
   reg.counter("parallel.cross_posts") = engine.cross_posts();

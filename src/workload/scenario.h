@@ -58,14 +58,17 @@ struct ScenarioConfig : proto::ProfileParams {
 
   sim::Time max_duration = 30.0;  // hard stop for the simulation clock
 
-  // Conservative-parallel execution: partition the topology into this many
-  // domains, one worker thread each, synchronized on certified per-round
-  // horizons (see HorizonMode). Results are bit-identical to workers == 1 at
-  // any count. Falls back to sequential execution when the profile is not
-  // parallel-safe, a cut link has zero propagation delay, or the partition
-  // degenerates to one domain; the fallback reports workers_used == 1 and
-  // names its cause in ScenarioResult::parallel_fallback_reason. Composes
-  // with exp::SweepRunner: each sweep thread runs its own engine.
+  // Conservative-parallel execution on this many worker threads,
+  // synchronized on certified per-round horizons (see HorizonMode). The
+  // topology is partitioned into one domain per fat-tree pod (whatever the
+  // worker count; workers claim pods dynamically), or into one domain per
+  // worker on topologies without pods. Results are bit-identical to
+  // workers == 1 at any count. Falls back to sequential execution when the
+  // profile is not parallel-safe, a cut link has zero propagation delay, or
+  // the partition degenerates to one domain; the fallback reports
+  // workers_used == 1 and names its cause in
+  // ScenarioResult::parallel_fallback_reason. Composes with
+  // exp::SweepRunner: each sweep thread runs its own engine.
   int workers = 1;
 
   // How the parallel engine bounds each synchronization window (ignored when
@@ -167,8 +170,10 @@ struct ScenarioResult {
   // topology build, control plane, record/descriptor setup. O(pending
   // descriptors), not O(endpoints) — endpoints are constructed lazily.
   double setup_wall_sec = 0.0;
-  // Actual domain count the run executed with: cfg.workers unless the
-  // harness fell back to sequential execution (then 1).
+  // Worker threads the run executed with: cfg.workers clamped to the
+  // domain count (the pod count on a fat-tree), or 1 when the harness fell
+  // back to sequential execution. The domain count is the metric
+  // parallel.domains.
   int workers_used = 1;
   // Why a workers > 1 request fell back to sequential execution; empty when
   // the parallel engine ran (or was never requested). Sweep JSON carries

@@ -356,6 +356,26 @@ TEST(SwitchDiagnostics, NoRouteResolvesDestinationName) {
 
 // --- Pod-aware partitioning --------------------------------------------------
 
+// True when `l` starts or ends at a core switch (cores are created first,
+// so their ids are [0, cores)).
+bool touches_core(const topo::FatTree& t, const net::Link* l) {
+  for (net::Switch* core : t.cores) {
+    for (int p = 0; p < core->num_ports(); ++p) {
+      if (&core->port_link(p) == l) return true;
+    }
+  }
+  return l->destination()->id() < static_cast<net::NodeId>(t.cores.size());
+}
+
+std::vector<int> cores_per_domain(const topo::FatTree& t,
+                                  const topo::Partition& part) {
+  std::vector<int> n(static_cast<std::size_t>(part.domains), 0);
+  for (net::Switch* core : t.cores) {
+    ++n[static_cast<std::size_t>(part.domain_of_node(core->id()))];
+  }
+  return n;
+}
+
 TEST(FatTreePartition, OneDomainPerPod) {
   sim::Simulator sim;
   const topo::FatTree t =
@@ -384,19 +404,7 @@ TEST(FatTreePartition, OneDomainPerPod) {
   EXPECT_EQ(pod_domains.size(), 4u);
 
   // Every cut link touches a core switch — pod boundaries are the cuts.
-  const net::NodeId core_bound = static_cast<net::NodeId>(t.cores.size());
-  for (const auto& c : part.cut_links) {
-    const bool src_is_core = [&] {
-      for (net::Switch* core : t.cores) {
-        for (int p = 0; p < core->num_ports(); ++p) {
-          if (&core->port_link(p) == c.link) return true;
-        }
-      }
-      return false;
-    }();
-    const bool dst_is_core = c.link->destination()->id() < core_bound;
-    EXPECT_TRUE(src_is_core || dst_is_core);
-  }
+  for (const auto& c : part.cut_links) EXPECT_TRUE(touches_core(t, c.link));
 }
 
 TEST(FatTreePartition, TwoDomainsKeepPodsIntact) {
@@ -419,6 +427,53 @@ TEST(FatTreePartition, DomainCountClampsToPods) {
   // 16 hosts but only 4 pods: asking for 8 domains must not split a pod.
   const topo::Partition part = topo::partition_topology(*t.topo, 8);
   EXPECT_EQ(part.domains, 4);
+}
+
+// A fat-tree partitions into one domain per pod at any worker count, so the
+// engine's workers can balance whole pods between them.
+TEST(FatTreePartition, DomainsFollowPodsNotWorkers) {
+  sim::Simulator sim;
+  topo::FatTreeConfig cfg;
+  cfg.k = 8;
+  const topo::FatTree t = topo::build_fat_tree(sim, cfg, droptail_factory());
+  for (const int workers : {1, 2, 3, 4, 16}) {
+    EXPECT_EQ(topo::domains_for_workers(*t.topo, workers), 8) << workers;
+  }
+}
+
+// Each core has one agg neighbor in every pod, so at one domain per pod its
+// vote is a k-way tie; the fewest-ports tie-break deals the cores out
+// evenly instead of piling them all into domain 0.
+TEST(FatTreePartition, CoresSpreadEvenlyOverPodDomains) {
+  for (const int k : {4, 8}) {
+    sim::Simulator sim;
+    topo::FatTreeConfig cfg;
+    cfg.k = k;
+    const topo::FatTree t =
+        topo::build_fat_tree(sim, cfg, droptail_factory());
+    const topo::Partition part = topo::partition_topology(*t.topo, k);
+    ASSERT_EQ(part.domains, k);
+    for (const int n : cores_per_domain(t, part)) {
+      EXPECT_EQ(n, k / 4) << "k=" << k;
+    }
+    for (const auto& c : part.cut_links) EXPECT_TRUE(touches_core(t, c.link));
+  }
+}
+
+// Spreading the cores moves no cut: with two pods per domain every core
+// still reaches six of its eight pods across the cut, exactly as when all
+// cores sat in domain 0, and the lookahead stays the per-link delay.
+TEST(FatTreePartition, SpreadCoresKeepCutCountAndLookahead) {
+  sim::Simulator sim;
+  topo::FatTreeConfig cfg;
+  cfg.k = 8;
+  const topo::FatTree t = topo::build_fat_tree(sim, cfg, droptail_factory());
+  const topo::Partition part = topo::partition_topology(*t.topo, 4);
+  ASSERT_EQ(part.domains, 4);
+  EXPECT_EQ(part.cut_links.size(), 192u);  // 16 cores x 6 pods x 2 ways
+  EXPECT_DOUBLE_EQ(part.lookahead, cfg.per_link_delay);
+  for (const int n : cores_per_domain(t, part)) EXPECT_EQ(n, 4);
+  for (const auto& c : part.cut_links) EXPECT_TRUE(touches_core(t, c.link));
 }
 
 // --- Engine determinism on the fat-tree --------------------------------------

@@ -263,6 +263,42 @@ TEST(TraceDeterminism, MergedTraceByteIdenticalAcrossWorkerCounts) {
   }
 }
 
+// The same on a k=8 fat-tree, which runs as 8 pod domains whatever the
+// worker count: at 2 and 3 workers domains migrate between threads, and
+// every record must still be captured (the domain's ring follows it to the
+// claiming thread) and merged back into sequential order.
+TEST(TraceDeterminism, FatTreePodDomainsByteIdenticalAtOneTwoThreeWorkers) {
+  for (const auto p : {workload::Protocol::kDctcp, workload::Protocol::kPase}) {
+    workload::ScenarioConfig cfg;
+    cfg.protocol = p;
+    cfg.topology = workload::ScenarioConfig::TopologyKind::kFatTree;
+    cfg.fattree.k = 8;
+    cfg.traffic.pattern = workload::Pattern::kIntraRackRandom;
+    cfg.traffic.size_dist = workload::SizeDistribution::kWebSearch;
+    cfg.traffic.load = 0.4;
+    cfg.traffic.num_flows = 40;
+    cfg.traffic.seed = 21;
+    cfg.trace.enabled = true;
+    cfg.trace.categories = kAllCategories & ~kEngineCat;
+    cfg.trace.buffer_capacity = std::size_t{1} << 17;
+
+    const auto r1 = workload::run_scenario(cfg);
+    ASSERT_NE(r1.trace, nullptr);
+    ASSERT_EQ(r1.trace->dropped, 0u);
+    ASSERT_GT(r1.trace->events.size(), 0u);
+    const std::string ref = r1.trace->to_jsonl();
+    for (const int w : {2, 3}) {
+      cfg.workers = w;
+      const auto rw = workload::run_scenario(cfg);
+      ASSERT_NE(rw.trace, nullptr);
+      ASSERT_EQ(rw.trace->dropped, 0u);
+      EXPECT_EQ(rw.workers_used, w);
+      EXPECT_EQ(rw.trace->to_jsonl(), ref)
+          << workload::protocol_name(p) << " workers=" << w;
+    }
+  }
+}
+
 TEST(Metrics, ScenarioResultCarriesAggregates) {
   const auto r = traced_scenario(workload::Protocol::kPase, 1);
   ASSERT_FALSE(r.metrics.empty());
@@ -286,7 +322,8 @@ TEST(Metrics, ParallelRunReportsRoundStatistics) {
   const char* names[] = {"parallel.rounds", "parallel.windows",
                          "parallel.cross_posts", "engine.workers",
                          "parallel.lineage_compactions",
-                         "mem.lineage_peak_bytes"};
+                         "mem.lineage_peak_bytes", "parallel.domains",
+                         "parallel.max_domain_event_share"};
   workload::ScenarioConfig cfg;
   cfg.protocol = workload::Protocol::kDctcp;
   cfg.topology = workload::ScenarioConfig::TopologyKind::kThreeTier;
@@ -304,6 +341,16 @@ TEST(Metrics, ParallelRunReportsRoundStatistics) {
     for (const auto& m : r.metrics) found = found || m.name == name;
     EXPECT_TRUE(found) << name;
   }
+  double domains = 0.0, share = 0.0;
+  for (const auto& m : r.metrics) {
+    if (m.name == "parallel.domains") domains = m.value;
+    if (m.name == "parallel.max_domain_event_share") share = m.value;
+  }
+  // No partition groups on a three-tier tree: one domain per worker. The
+  // largest domain holds at least its even share of the events.
+  EXPECT_EQ(domains, 2.0);
+  EXPECT_GE(share, 0.5);
+  EXPECT_LE(share, 1.0);
 }
 
 }  // namespace

@@ -99,6 +99,61 @@ TEST(ParallelGolden, PaseFatTreeBitIdenticalAcrossWorkerCounts) {
   }
 }
 
+// A k=8 fat-tree partitions into 8 pod domains; 3 workers own uneven blocks
+// of them ({0,1}, {2,3,4}, {5,6,7}), so whoever finishes its block first
+// steals from the others and domains change threads from round to round.
+// Neither may move the fingerprint.
+void expect_fattree_k8_identical_at_three_workers(workload::Protocol p) {
+  workload::ScenarioConfig cfg;
+  cfg.protocol = p;
+  cfg.topology = workload::ScenarioConfig::TopologyKind::kFatTree;
+  cfg.fattree.k = 8;
+  cfg.traffic.pattern = workload::Pattern::kIntraRackRandom;
+  cfg.traffic.size_dist = workload::SizeDistribution::kWebSearch;
+  cfg.traffic.load = 0.4;
+  cfg.traffic.num_flows = 200;
+  cfg.traffic.seed = 31;
+
+  const std::uint64_t seq = trace_fingerprint(workload::run_scenario(cfg));
+  cfg.workers = 3;
+  const workload::ScenarioResult r = workload::run_scenario(cfg);
+  EXPECT_EQ(trace_fingerprint(r), seq);
+  EXPECT_EQ(r.workers_used, 3);
+  EXPECT_EQ(metric(r, "parallel.domains"), 8.0);
+  EXPECT_TRUE(r.parallel_fallback_reason.empty())
+      << r.parallel_fallback_reason;
+  EXPECT_GT(metric(r, "parallel.lineage_compactions"), 0.0);
+}
+
+TEST(ParallelGolden, DctcpFatTreeK8PodDomainsAtThreeWorkers) {
+  expect_fattree_k8_identical_at_three_workers(workload::Protocol::kDctcp);
+}
+TEST(ParallelGolden, PaseFatTreeK8PodDomainsAtThreeWorkers) {
+  expect_fattree_k8_identical_at_three_workers(workload::Protocol::kPase);
+}
+
+// More workers than pods: a k=4 fat-tree has 4 domains, so 8 requested
+// workers run as 4 threads and say so.
+TEST(ParallelEngine, FatTreeClampsWorkersToPods) {
+  workload::ScenarioConfig cfg;
+  cfg.protocol = workload::Protocol::kDctcp;
+  cfg.topology = workload::ScenarioConfig::TopologyKind::kFatTree;
+  cfg.fattree.k = 4;
+  cfg.traffic.pattern = workload::Pattern::kIntraRackRandom;
+  cfg.traffic.load = 0.4;
+  cfg.traffic.num_flows = 100;
+  cfg.traffic.seed = 5;
+
+  const std::uint64_t seq = trace_fingerprint(workload::run_scenario(cfg));
+  cfg.workers = 8;
+  const workload::ScenarioResult r = workload::run_scenario(cfg);
+  EXPECT_EQ(r.workers_used, 4);
+  EXPECT_EQ(metric(r, "parallel.domains"), 4.0);
+  EXPECT_TRUE(r.parallel_fallback_reason.empty())
+      << r.parallel_fallback_reason;
+  EXPECT_EQ(trace_fingerprint(r), seq);
+}
+
 // A zero-delay cut link gives zero lookahead: the conservative window is
 // empty and the harness must fall back to sequential execution (and still
 // produce the sequential trace).
@@ -248,6 +303,22 @@ TEST(TopologyPartition, RacksStayIntactAndCutsCarryLookahead) {
   for (const auto& c : part.cut_links) {
     EXPECT_NE(c.src_domain, c.dst_domain);
     EXPECT_DOUBLE_EQ(c.link->prop_delay(), cfg.per_link_delay);
+  }
+}
+
+// Without partition groups there is one domain per worker, so three-tier
+// placement is the same static split as ever.
+TEST(TopologyPartition, UngroupedTopologiesGetOneDomainPerWorker) {
+  sim::Simulator sim;
+  topo::ThreeTierConfig cfg;
+  cfg.num_tors = 4;
+  cfg.hosts_per_tor = 4;
+  topo::ThreeTierBuilder builder(cfg);
+  auto built = builder.build(sim, [](double) {
+    return std::make_unique<net::DropTailQueue>(100);
+  });
+  for (const int workers : {1, 2, 3, 4}) {
+    EXPECT_EQ(topo::domains_for_workers(built->topo(), workers), workers);
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "stats/summary.h"
 #include "workload/flow_generator.h"
@@ -122,6 +123,24 @@ TEST(FlowGenerator, LeftRightRespectsPartition) {
     EXPECT_LT(f.src, 80);
     EXPECT_GE(f.dst, 80);
     EXPECT_LT(f.dst, 160);
+  }
+}
+
+// Caller input is checked in every build, not only under assert: a single
+// host would make the destination redraw loop spin forever.
+TEST(FlowGenerator, RejectsFewerThanTwoHosts) {
+  auto cfg = base_cfg();
+  cfg.pattern = Pattern::kIntraRackRandom;
+  cfg.num_hosts = 1;
+  EXPECT_THROW(generate_flows(cfg), std::invalid_argument);
+}
+
+TEST(FlowGenerator, RejectsLeftRightWithoutBothSides) {
+  auto cfg = base_cfg();
+  cfg.pattern = Pattern::kLeftRight;
+  for (const int left : {0, 20, 25}) {
+    cfg.left_hosts = left;
+    EXPECT_THROW(generate_flows(cfg), std::invalid_argument) << left;
   }
 }
 
