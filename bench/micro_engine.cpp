@@ -267,7 +267,7 @@ void BM_StdFunctionEventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_StdFunctionEventDispatch);
 
-// --- Host receive demux: dense FlowDemux vs the map it replaced ---
+// --- Host receive demux: open-addressing FlowDemux vs std::unordered_map ---
 
 struct NullSink : net::PacketSink {
   void deliver(net::PacketPtr) override {}

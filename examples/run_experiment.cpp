@@ -4,9 +4,9 @@
 // the obs::TelemetryPlane to report where the backlog lived — handy for
 // exploring parameter spaces without writing code.
 //
-//   ./build/examples/run_experiment --protocol pase --topology tree \
-//       --pattern leftright --load 0.8 --flows 500 --seed 7 \
-//       --telemetry run.jsonl
+//   ./build/examples/run_experiment --protocol pase --topology tree
+//       --pattern leftright --load 0.8 --flows 500 --seed 7
+//       --telemetry run.jsonl                        (one command line)
 //
 // Flags: --protocol NAME (any registered transport profile; the built-ins
 //                         are dctcp,d2tcp,l2dct,pdq,pfabric,pase)

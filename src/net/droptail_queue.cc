@@ -5,7 +5,7 @@
 namespace pase::net {
 
 bool DropTailQueue::do_enqueue(PacketPtr p) {
-  if (q_.size() >= capacity_) {
+  if (q_.full()) {
     count_drop(*p);
     return false;
   }
@@ -22,12 +22,11 @@ PacketPtr DropTailQueue::do_dequeue() {
 }
 
 PacketPtr DropTailQueue::do_pass(PacketPtr p) {
-  const std::size_t n = q_.size();
-  if (n >= capacity_) {
+  if (q_.full()) {
     count_drop(*p);
     return nullptr;
   }
-  if (n > 0) [[unlikely]] {
+  if (!q_.empty()) [[unlikely]] {
     bytes_ += p->size_bytes;
     q_.push_back(std::move(p));
     p = q_.pop_front();

@@ -1,7 +1,6 @@
 // FIFO tail-drop queue with a packet-count capacity.
 #pragma once
 
-
 #include "net/packet_ring.h"
 #include "net/queue.h"
 
@@ -9,13 +8,12 @@ namespace pase::net {
 
 class DropTailQueue : public Queue {
  public:
-  explicit DropTailQueue(std::size_t capacity_pkts)
-      : capacity_(static_cast<std::uint32_t>(capacity_pkts)),
-        q_(capacity_pkts) {}
+  explicit DropTailQueue(std::size_t capacity_pkts) : q_(capacity_pkts) {}
 
   std::size_t len_packets() const override { return q_.size(); }
   std::size_t len_bytes() const override { return bytes_; }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t buffer_bytes() const override { return q_.buffer_bytes(); }
+  std::size_t capacity() const { return q_.capacity(); }
 
  protected:
   bool do_enqueue(PacketPtr p) override;
@@ -23,10 +21,9 @@ class DropTailQueue : public Queue {
   PacketPtr do_pass(PacketPtr p) override;
 
  private:
-  // Capacity (32-bit) ahead of the ring: do_pass/do_dequeue then resolve the
-  // drop decision and the emptiness probe on the queue's first cache line;
-  // the byte gauge trails (touched only when the ring holds packets).
-  std::uint32_t capacity_;
+  // The ring's count and capacity sit on the queue's first cache line, so
+  // do_pass/do_dequeue resolve the drop decision and the emptiness probe
+  // there; the byte gauge trails (touched only when the ring holds packets).
   PacketRing q_;
   std::size_t bytes_ = 0;
 };

@@ -1,15 +1,20 @@
 // Flow -> sink demux for the host receive path.
 //
-// The workload layer allocates flow IDs sequentially from 1 (see
-// workload::FlowGenerator), so in any real scenario every lookup is a bounds
-// check plus one indexed load in a dense table — no hashing, no buckets, no
-// pointer chase. IDs at or above kDenseLimit fall back to a small
-// open-addressing hash table so correctness never depends on that contract
-// (tests and external embedders may register arbitrary 64-bit IDs).
+// One open-addressing table (linear probing, power-of-two size) keyed by the
+// full 64-bit FlowId and sized by the flows registered right now: it doubles
+// when live entries would pass 3/4 of the slots and halves when they fall to
+// 1/8 (never below 16 slots). Erase shifts the rest of a probe run back over
+// the hole (Knuth's Algorithm R), so there are no tombstones, and churn at a
+// steady live count never rehashes. A host sees a handful of concurrent
+// flows, so its table stays at a few hundred bytes however large the
+// workload's id range. Slot state lives in the sink word (null = empty),
+// never in the key, so every id — 0 and 2^64-1 included — is a valid key.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/packet.h"
@@ -21,187 +26,93 @@ class PacketSink;
 
 class FlowDemux {
  public:
-  // Default ceiling on dense-table ids; at 8 bytes per entry the table tops
-  // out at 512 KiB per host. Fine for rack-scale runs, but at fat-tree
-  // scale (1k+ hosts) the per-host tables dominate RSS, so the scenario
-  // driver lowers the limit via set_dense_limit — high ids then spill to
-  // the sparse table, whose size tracks *live* flows, not the id range.
-  static constexpr FlowId kDenseLimit = 1ull << 16;
-  // Floor for set_dense_limit. Keeps the sentinel keys (0, 1) out of the
-  // sparse table and the common tiny-test id range dense.
-  static constexpr FlowId kMinDenseLimit = 64;
-
   PacketSink* find(FlowId id) const {
-    // Invariant: dense_.size() <= dense_limit_ (set_dense_limit rounds the
-    // limit down to a power of two and the growth sites clamp to it), so an
-    // id that lands in dense_ is always an id the dense table owns — sparse
-    // ids can never shadow a null dense slot.
-    if (id < dense_.size()) [[likely]] {
-      return dense_[id];
+    if (count_ == 0) return nullptr;
+    for (std::size_t i = home(id);; i = (i + 1) & mask()) {
+      const Entry& e = slots_[i];
+      if (e.sink == nullptr) return nullptr;
+      if (e.key == id) return e.sink;
     }
-    if (id < dense_limit_) return nullptr;  // dense range, never registered
-    return sparse_find(id);
   }
 
+  // Registers (or re-points) `id`.
   void insert(FlowId id, PacketSink* sink) {
     PASE_DCHECK(sink != nullptr && "demux sinks must be non-null");
-    if (id < dense_limit_) {
-      if (id >= dense_.size()) {
-        std::size_t want = dense_.empty() ? 64 : dense_.size();
-        while (want <= id) want *= 2;
-        if (want > dense_limit_) want = dense_limit_;
-        dense_.resize(want, nullptr);
+    if ((count_ + 1) * 4 > slots_.size() * 3) {
+      rehash(slots_.empty() ? kMinSlots : slots_.size() * 2);
+    }
+    for (std::size_t i = home(id);; i = (i + 1) & mask()) {
+      Entry& e = slots_[i];
+      if (e.sink == nullptr) {
+        e = Entry{id, sink};
+        ++count_;
+        return;
       }
-      if (dense_[id] == nullptr) ++count_;
-      dense_[id] = sink;
-      return;
-    }
-    sparse_insert(id, sink);
-  }
-
-  void erase(FlowId id) {
-    if (id < dense_limit_) {
-      if (id < dense_.size() && dense_[id] != nullptr) {
-        dense_[id] = nullptr;
-        --count_;
-      }
-      return;
-    }
-    sparse_erase(id);
-  }
-
-  // Caps the dense table's id range. The limit is rounded *down* to a power
-  // of two and clamped to [kMinDenseLimit, kDenseLimit], so the doubling
-  // growth schedule (64, 128, ...) can land exactly on it and dense_.size()
-  // never exceeds dense_limit_ — find()'s dense fast path stays correct for
-  // ids the sparse table owns, and a caller budgeting N entries gets at most
-  // N, never the next power of two above N. Must be called before any id >=
-  // the new limit is inserted — entries do not migrate between tables.
-  // Lookup results are unaffected; only the dense/sparse split (memory vs
-  // probe cost) moves.
-  void set_dense_limit(FlowId limit) {
-    if (limit < kMinDenseLimit) limit = kMinDenseLimit;
-    if (limit > kDenseLimit) limit = kDenseLimit;
-    while ((limit & (limit - 1)) != 0) limit &= limit - 1;  // round down
-    dense_limit_ = limit;
-  }
-
-  // Pre-grows the dense table to cover ids up to `max_id` (clamped to the
-  // dense range), so steady-state insert never resizes. Sizing matches
-  // insert()'s doubling schedule, so a prewarmed demux is indistinguishable
-  // from an organically grown one.
-  void reserve_dense(FlowId max_id) {
-    if (max_id >= dense_limit_) max_id = dense_limit_ - 1;
-    if (max_id < dense_.size()) return;
-    std::size_t want = dense_.empty() ? 64 : dense_.size();
-    while (want <= max_id) want *= 2;
-    if (want > dense_limit_) want = dense_limit_;
-    dense_.resize(want, nullptr);
-  }
-
-  // Number of registered flows.
-  std::size_t size() const { return count_; }
-
- private:
-  // Sentinels occupy keys that can never reach the sparse table (they are
-  // below kMinDenseLimit, so always dense).
-  static constexpr FlowId kEmptyKey = 0;
-  static constexpr FlowId kTombKey = 1;
-  static constexpr std::size_t kNpos = ~std::size_t{0};
-
-  struct SparseEntry {
-    FlowId key = kEmptyKey;
-    PacketSink* sink = nullptr;
-  };
-
-  static std::size_t hash(FlowId id) {
-    std::uint64_t x = id;  // splitmix64 finalizer
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
-  }
-
-  PacketSink* sparse_find(FlowId id) const {
-    if (sparse_.empty()) return nullptr;
-    const std::size_t mask = sparse_.size() - 1;
-    for (std::size_t i = hash(id) & mask;; i = (i + 1) & mask) {
-      const SparseEntry& e = sparse_[i];
-      if (e.key == id) return e.sink;
-      if (e.key == kEmptyKey) return nullptr;
-    }
-  }
-
-  void sparse_insert(FlowId id, PacketSink* sink) {
-    // Rehash at ~70% occupancy counting tombstones, so probe chains stay
-    // short even under churn.
-    if (sparse_.empty() || (sparse_used_ + 1) * 10 >= sparse_.size() * 7) {
-      sparse_rehash();
-    }
-    const std::size_t mask = sparse_.size() - 1;
-    std::size_t tomb = kNpos;
-    for (std::size_t i = hash(id) & mask;; i = (i + 1) & mask) {
-      SparseEntry& e = sparse_[i];
       if (e.key == id) {
         e.sink = sink;
         return;
       }
-      if (e.key == kTombKey && tomb == kNpos) tomb = i;
-      if (e.key == kEmptyKey) {
-        if (tomb != kNpos) {
-          sparse_[tomb] = SparseEntry{id, sink};
-        } else {
-          e = SparseEntry{id, sink};
-          ++sparse_used_;
-        }
-        ++sparse_live_;
-        ++count_;
-        return;
-      }
     }
   }
 
-  void sparse_erase(FlowId id) {
-    if (sparse_.empty()) return;
-    const std::size_t mask = sparse_.size() - 1;
-    for (std::size_t i = hash(id) & mask;; i = (i + 1) & mask) {
-      SparseEntry& e = sparse_[i];
-      if (e.key == id) {
-        e.key = kTombKey;
-        e.sink = nullptr;
-        --sparse_live_;
-        --count_;
-        return;
-      }
-      if (e.key == kEmptyKey) return;
+  void erase(FlowId id) {
+    if (count_ == 0) return;
+    std::size_t hole = home(id);
+    for (;; hole = (hole + 1) & mask()) {
+      if (slots_[hole].sink == nullptr) return;  // not registered
+      if (slots_[hole].key == id) break;
+    }
+    // Pull later members of the probe run back into the hole unless their
+    // home slot lies cyclically in (hole, j]: lookups stop at the first
+    // empty slot, so no entry may sit past a gap from its home.
+    for (std::size_t j = (hole + 1) & mask(); slots_[j].sink != nullptr;
+         j = (j + 1) & mask()) {
+      const std::size_t h = home(slots_[j].key);
+      const bool stays =
+          hole <= j ? (hole < h && h <= j) : (hole < h || h <= j);
+      if (stays) continue;
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+    slots_[hole] = Entry{};
+    --count_;
+    if (count_ * 8 <= slots_.size() && slots_.size() > kMinSlots) {
+      rehash(slots_.size() / 2);
     }
   }
 
-  void sparse_rehash() {
-    std::size_t want = 16;
-    while (want < (sparse_live_ + 1) * 2) want *= 2;
-    std::vector<SparseEntry> old;
-    old.swap(sparse_);
-    sparse_.assign(want, SparseEntry{});
-    sparse_used_ = 0;
-    const std::size_t mask = sparse_.size() - 1;
-    for (const SparseEntry& e : old) {
-      if (e.key == kEmptyKey || e.key == kTombKey) continue;
-      std::size_t i = hash(e.key) & mask;
-      while (sparse_[i].key != kEmptyKey) i = (i + 1) & mask;
-      sparse_[i] = e;
-      ++sparse_used_;
+  // Number of registered flows.
+  std::size_t size() const { return count_; }
+  // Bytes of table storage held (the mem.demux_bytes gauge).
+  std::size_t bytes() const { return slots_.capacity() * sizeof(Entry); }
+
+ private:
+  static constexpr std::size_t kMinSlots = 16;
+
+  struct Entry {
+    FlowId key = 0;
+    PacketSink* sink = nullptr;  // null: empty slot
+  };
+
+  std::size_t mask() const { return slots_.size() - 1; }
+  // Fibonacci hashing: the multiply spreads consecutive ids (the workload's
+  // numbering) across the table and the top bits pick the slot.
+  std::size_t home(FlowId id) const {
+    return static_cast<std::size_t>((id * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+
+  void rehash(std::size_t n) {
+    std::vector<Entry> old = std::exchange(slots_, std::vector<Entry>(n));
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(n));
+    count_ = 0;
+    for (const Entry& e : old) {
+      if (e.sink != nullptr) insert(e.key, e.sink);
     }
   }
 
-  FlowId dense_limit_ = kDenseLimit;  // ids below this stay dense
-  std::vector<PacketSink*> dense_;    // direct-indexed by FlowId
-  std::vector<SparseEntry> sparse_;   // open addressing, power-of-two size
-  std::size_t sparse_live_ = 0;       // live sparse entries
-  std::size_t sparse_used_ = 0;       // live + tombstones
-  std::size_t count_ = 0;             // total registered flows
+  std::vector<Entry> slots_;  // power-of-two size once anything is inserted
+  std::size_t count_ = 0;
+  unsigned shift_ = 64;  // 64 - log2(slots_.size())
 };
 
 }  // namespace pase::net

@@ -33,18 +33,12 @@ class Host : public Node {
 
   // Demux registration. Data/probe packets go to the flow's receiver sink;
   // ACKs go to the flow's sender sink. A flow's sender and receiver live on
-  // different hosts, so one table per host suffices. Lookup is a dense
-  // FlowId-indexed load for the sequential IDs the workload layer allocates
-  // (see FlowDemux).
+  // different hosts, so one table per host suffices. The table is sized by
+  // the flows registered right now, not by the id range (see FlowDemux).
   void register_flow(FlowId flow, PacketSink* sink) { flows_.insert(flow, sink); }
   void unregister_flow(FlowId flow) { flows_.erase(flow); }
-  // Pre-grows the demux's dense table for ids up to `max_id`, making
-  // steady-state registration allocation-free (see FlowDemux::reserve_dense).
-  void reserve_flows(FlowId max_id) { flows_.reserve_dense(max_id); }
-
-  // Caps the demux's dense id range; ids past the cap use the sparse table
-  // (see FlowDemux::set_dense_limit). Call before registering such ids.
-  void set_dense_flow_limit(FlowId limit) { flows_.set_dense_limit(limit); }
+  // Bytes the demux table holds (the mem.demux_bytes gauge).
+  std::size_t demux_bytes() const { return flows_.bytes(); }
 
   using ControlHandler = std::function<void(PacketPtr)>;
   void set_control_handler(ControlHandler h) { control_ = std::move(h); }
@@ -59,9 +53,9 @@ class Host : public Node {
   double nic_rate_bps() const { return uplink_ ? uplink_->rate_bps() : 0.0; }
 
  private:
-  // Demux first: its dense-table header lands on the host's first cache
-  // line (after Node's slim header), so receive() resolves the sink with
-  // one object line plus the dense row itself.
+  // Demux first: its table header lands on the host's first cache line
+  // (after Node's slim header), so receive() resolves the sink with one
+  // object line plus the probed slot itself.
   FlowDemux flows_;
   std::unique_ptr<Queue> uplink_queue_;
   std::unique_ptr<Link> uplink_;

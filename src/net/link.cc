@@ -61,6 +61,10 @@ void Link::deliver_hint(void* self, void* arg) {
   (void)arg;
 }
 
+void Link::free_packet(void* packet) {
+  PacketPool::local().release(static_cast<Packet*>(packet));
+}
+
 void Link::on_deliver(void* self, void* packet) {
   auto* link = static_cast<Link*>(self);
   if (link->cross_ != nullptr) {

@@ -24,6 +24,9 @@ class PfabricQueue : public Queue {
 
   std::size_t len_packets() const override { return buf_.size(); }
   std::size_t len_bytes() const override { return bytes_; }
+  std::size_t buffer_bytes() const override {
+    return buf_.capacity() * sizeof(Entry);
+  }
   std::size_t capacity() const { return capacity_; }
 
  protected:

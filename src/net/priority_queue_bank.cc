@@ -34,6 +34,12 @@ bool PriorityQueueBank::do_enqueue(PacketPtr p) {
   return true;
 }
 
+std::size_t PriorityQueueBank::buffer_bytes() const {
+  std::size_t b = 0;
+  for (const PacketRing& q : classes_) b += q.buffer_bytes();
+  return b;
+}
+
 PacketPtr PriorityQueueBank::do_dequeue() {
   for (std::size_t cls = 0; cls < classes_.size(); ++cls) {
     auto& q = classes_[cls];

@@ -3,7 +3,8 @@
 //
 // - `num_classes` FIFO queues; class 0 has strict precedence.
 // - A shared buffer pool of `capacity_pkts`: an arriving packet is tail-
-//   dropped when the pool is full, regardless of class.
+//   dropped when the pool is full, regardless of class. Each class ring may
+//   grow up to the whole pool but holds only its own high-water mark.
 // - Each class marks CE on arrival when that class's instantaneous length is
 //   at or above the marking threshold K.
 // - Packets are classified by Packet::priority (clamped to the valid range).
@@ -23,6 +24,7 @@ class PriorityQueueBank : public Queue {
 
   std::size_t len_packets() const override { return total_pkts_; }
   std::size_t len_bytes() const override { return total_bytes_; }
+  std::size_t buffer_bytes() const override;
   int num_classes() const { return static_cast<int>(classes_.size()); }
   std::size_t class_len(int cls) const { return classes_[cls].size(); }
   std::uint64_t class_dequeues(int cls) const { return dequeues_[cls]; }
@@ -32,7 +34,7 @@ class PriorityQueueBank : public Queue {
   PacketPtr do_dequeue() override;
 
  private:
-  std::vector<PacketRing> classes_;  // each sized to the shared pool cap
+  std::vector<PacketRing> classes_;  // each capped at the shared pool size
   std::vector<std::uint64_t> dequeues_;
   std::size_t capacity_;
   std::size_t threshold_;

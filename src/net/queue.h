@@ -34,6 +34,10 @@ class Queue {
   virtual std::size_t len_packets() const = 0;
   virtual std::size_t len_bytes() const = 0;
   bool empty() const { return len_packets() == 0; }
+  // Bytes of packet storage the discipline holds, occupied or not (the
+  // mem.queue_buffer_bytes gauge): it tracks the queue's high-water mark,
+  // not its capacity.
+  virtual std::size_t buffer_bytes() const = 0;
 
   std::uint64_t drops() const { return drops_; }
   std::uint64_t marks() const { return marks_; }

@@ -5,7 +5,7 @@
 namespace pase::net {
 
 bool RedEcnQueue::do_enqueue(PacketPtr p) {
-  if (q_.size() >= capacity_) {
+  if (q_.full()) {
     count_drop(*p);
     return false;
   }
@@ -27,7 +27,7 @@ PacketPtr RedEcnQueue::do_dequeue() {
 
 PacketPtr RedEcnQueue::do_pass(PacketPtr p) {
   const std::size_t n = q_.size();
-  if (n >= capacity_) {
+  if (q_.full()) {
     count_drop(*p);
     return nullptr;
   }

@@ -6,6 +6,7 @@
 // instantaneous length).
 #pragma once
 
+#include <cstdint>
 
 #include "net/packet_ring.h"
 #include "net/queue.h"
@@ -15,13 +16,13 @@ namespace pase::net {
 class RedEcnQueue : public Queue {
  public:
   RedEcnQueue(std::size_t capacity_pkts, std::size_t mark_threshold_pkts)
-      : capacity_(static_cast<std::uint32_t>(capacity_pkts)),
-        threshold_(static_cast<std::uint32_t>(mark_threshold_pkts)),
+      : threshold_(static_cast<std::uint32_t>(mark_threshold_pkts)),
         q_(capacity_pkts) {}
 
   std::size_t len_packets() const override { return q_.size(); }
   std::size_t len_bytes() const override { return bytes_; }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t buffer_bytes() const override { return q_.buffer_bytes(); }
+  std::size_t capacity() const { return q_.capacity(); }
   std::size_t mark_threshold() const { return threshold_; }
 
  protected:
@@ -30,13 +31,13 @@ class RedEcnQueue : public Queue {
   PacketPtr do_pass(PacketPtr p) override;
 
  private:
-  // Thresholds (32-bit: queue capacities are small) ahead of the ring so the
-  // idle-link pass-through (do_pass) and the idle-kick emptiness probe
-  // (do_dequeue) resolve entirely against the queue's first cache line —
-  // counters, thresholds and the ring's occupancy count all pack into the
-  // base class's tail padding plus the first few derived bytes. The byte
-  // gauge trails: it is only touched when the ring actually holds packets.
-  std::uint32_t capacity_;
+  // The threshold (32-bit: queue capacities are small) and the ring's count
+  // and capacity lead, so the idle-link pass-through (do_pass) and the
+  // idle-kick emptiness probe (do_dequeue) resolve entirely against the
+  // queue's first cache line — counters, threshold and ring indices all pack
+  // into the base class's tail padding plus the first few derived bytes. The
+  // byte gauge trails: it is only touched when the ring actually holds
+  // packets.
   std::uint32_t threshold_;
   PacketRing q_;
   std::size_t bytes_ = 0;

@@ -45,11 +45,12 @@ ParallelEngine::~ParallelEngine() {
     start_barrier_.arrive_and_wait([] {});
     for (auto& t : threads_) t.join();
   }
-  if (orphan_deleter_) {
-    for (auto& box : mail_) {
-      for (const CrossRecord& r : box) orphan_deleter_(r.fn, r.ctx, r.arg);
-      box.clear();
-    }
+  // A run may end with cross-domain deliveries still in a mailbox; their
+  // destination domain's registration knows what each record's arg owns.
+  const int n = num_domains();
+  for (std::size_t i = 0; i < mail_.size(); ++i) {
+    const Simulator& dst = domain(static_cast<int>(i) % n);
+    for (const CrossRecord& r : mail_[i]) dst.dispose_arg(r.fn, r.arg);
   }
 }
 

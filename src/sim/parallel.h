@@ -140,13 +140,6 @@ class ParallelEngine {
     pub_[static_cast<std::size_t>(d)].trace = trace;
   }
 
-  // Frees the payload of records still in flight at destruction (a run may
-  // end with cross-domain deliveries pending). The engine does not know what
-  // `arg` owns; the network layer does.
-  void set_orphan_deleter(std::function<void(RawFn, void*, void*)> fn) {
-    orphan_deleter_ = std::move(fn);
-  }
-
   // Posts a cross-domain event: fires at `deliver_t` in `dst`, ordered by a
   // lineage node captured from `src`'s executing event right now. Must be
   // called from the thread currently running domain `src`, during a run
@@ -328,7 +321,6 @@ class ParallelEngine {
   std::vector<std::thread> threads_;
   bool threads_started_ = false;
   std::function<void()> thread_init_;
-  std::function<void(RawFn, void*, void*)> orphan_deleter_;
 };
 
 }  // namespace pase::sim

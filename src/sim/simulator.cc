@@ -26,10 +26,19 @@ Simulator::Simulator() {
 }
 
 Simulator::~Simulator() {
-  // Pending heap closures (and cancelled-while-staged leftovers) are the
-  // only slot contents that own memory; fired and cancelled slots were
-  // already downgraded to kRaw.
-  for (std::uint32_t i = 0; i < num_slots_; ++i) destroy_payload(slot_at(i));
+  // Pending events may own memory: heap closures their object, raw events
+  // whatever their fn's registered disposer frees (a link hop's packet).
+  // Fired and cancelled slots carry seq 0 and were already downgraded to
+  // kRaw, so they release nothing.
+  for (std::uint32_t i = 0; i < num_slots_; ++i) {
+    Slot& s = slot_at(i);
+    if (s.seq != 0 && s.kind == Kind::kRaw) {
+      RawPayload rp;
+      std::memcpy(&rp, s.payload, sizeof(rp));
+      dispose_arg(s.fn, rp.arg);
+    }
+    destroy_payload(s);
+  }
 }
 
 

@@ -247,6 +247,30 @@ class Simulator {
     }
   }
 
+  // Registers how to free the `arg` word of a raw event that never fires:
+  // ~Simulator passes every still-pending `fn` event's arg to it, and a
+  // parallel engine does the same for mailbox records addressed to this
+  // domain. Registered alongside prefetch hints and profile labels. The
+  // disposer may run after `ctx` has been destroyed, so it may only release
+  // what `arg` owns. Re-registering the same fn overwrites its disposer.
+  using ArgDisposer = void (*)(void* arg);
+  void set_arg_disposer(RawFn fn, ArgDisposer dispose) {
+    for (std::uint32_t i = 0; i < num_disposers_; ++i) {
+      if (disposers_[i].fn == fn) {
+        disposers_[i].dispose = dispose;
+        return;
+      }
+    }
+    PASE_CHECK(num_disposers_ < kMaxDisposers && "too many arg disposers");
+    disposers_[num_disposers_++] = DisposerEntry{fn, dispose};
+  }
+  // Frees `arg` with fn's registered disposer; a no-op for other fns.
+  void dispose_arg(RawFn fn, void* arg) const {
+    for (std::uint32_t i = 0; i < num_disposers_; ++i) {
+      if (disposers_[i].fn == fn) disposers_[i].dispose(arg);
+    }
+  }
+
   // --- Engine self-profiler -----------------------------------------------
   //
   // Off by default: the per-dispatch cost is one predictable not-taken
@@ -649,6 +673,16 @@ class Simulator {
   std::uint64_t calendar_rebuilds_ = 0;
   double fire_gap_ewma_ = 0.0;  // smoothed gap between consecutive fires
   bool stopped_ = false;
+
+  // Arg-disposer registry (see set_arg_disposer). Read only at teardown, so
+  // it trails every field the event loop touches.
+  static constexpr std::uint32_t kMaxDisposers = 4;
+  struct DisposerEntry {
+    RawFn fn;
+    ArgDisposer dispose;
+  };
+  DisposerEntry disposers_[kMaxDisposers] = {};
+  std::uint32_t num_disposers_ = 0;
 };
 
 inline EventId Simulator::schedule_raw_at(Time t, RawFn fn, void* ctx, void* arg) {

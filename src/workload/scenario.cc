@@ -38,15 +38,24 @@ double seconds_since(Clock::time_point t0) {
 // Aggregate counters every run exports, independent of execution mode.
 void fold_common_metrics(obs::MetricsRegistry& reg, const ScenarioResult& r,
                          topo::BuiltTopology& built) {
-  std::uint64_t drops = 0, marks = 0, enqueues = 0;
+  std::uint64_t drops = 0, marks = 0, enqueues = 0, queue_bytes = 0;
   built.topo().for_each_queue([&](net::Queue& q) {
     drops += q.drops();
     marks += q.marks();
     enqueues += q.enqueues();
+    queue_bytes += q.buffer_bytes();
   });
   reg.counter("fabric.drops") = drops;
   reg.counter("fabric.marks") = marks;
   reg.counter("fabric.enqueues") = enqueues;
+  // Bytes held at the end of the run by the two stores that size themselves
+  // by live state: host demux tables (the flows still registered) and queue
+  // rings (each queue's high-water mark). A parallel run registers flows at
+  // chunk barriers, so its demux figure may differ from a sequential run's.
+  std::uint64_t demux_bytes = 0;
+  for (const auto& h : built.topo().hosts()) demux_bytes += h->demux_bytes();
+  reg.counter("mem.demux_bytes") = demux_bytes;
+  reg.counter("mem.queue_buffer_bytes") = queue_bytes;
   reg.counter("flows.total") = r.total_flows();
   reg.counter("flows.unfinished") = r.unfinished();
   reg.counter("packets.data_sent") = r.data_packets_sent;
@@ -250,32 +259,6 @@ stats::FlowRecord record_from(const transport::Flow& f) {
   rec.deadline = f.deadline;
   rec.background = f.background;
   return rec;
-}
-
-// The dense demux table on every host grows by doubling as flow ids climb;
-// pre-growing it to the workload's id ceiling makes steady-state
-// registration allocation-free. The dense range itself is budgeted across
-// the host population: a fixed fleet-wide byte budget divided by the host
-// count caps each host's dense table, so a 1k-host fat-tree doesn't pay
-// (hosts x id-range) RSS — ids past the cap use the sparse table, which
-// sizes with live flows (small under endpoint recycling), not the id range.
-// The demux rounds the cap *down* to a power of two (its growth schedule is
-// doubling), so the fleet-wide budget is a hard ceiling, not a target the
-// next doubling can overshoot by 2x. Rack-scale runs stay fully dense: the
-// cap only bites past ~128 hosts.
-void prewarm_demux(topo::Topology& topo,
-                   const std::vector<transport::Flow>& flows) {
-  constexpr std::size_t kDenseBudgetBytes = 64ull << 20;  // fleet-wide
-  const std::size_t hosts = topo.num_hosts();
-  const net::FlowId cap = hosts == 0
-                              ? net::FlowDemux::kDenseLimit
-                              : kDenseBudgetBytes / sizeof(void*) / hosts;
-  net::FlowId max_id = 0;
-  for (const auto& f : flows) max_id = std::max(max_id, f.id);
-  for (const auto& h : topo.hosts()) {
-    h->set_dense_flow_limit(cap);
-    h->reserve_flows(max_id);
-  }
 }
 
 // --- Sequential driver -------------------------------------------------------
@@ -686,11 +669,6 @@ std::optional<ScenarioResult> try_run_parallel(
   for (const auto& c : part.cut_links) {
     c.link->set_cross_post(&engine, c.src_domain, c.dst_domain);
   }
-  // A run can end with deliveries still in a mailbox; their payload is a
-  // released Packet that must go back to a pool.
-  engine.set_orphan_deleter([](sim::RawFn, void*, void* arg) {
-    net::PacketPtr(static_cast<net::Packet*>(arg));
-  });
 
   proto::RunContext ctx0{engine.domain(0), built,
                          static_cast<const proto::ProfileParams&>(cfg)};
@@ -825,7 +803,6 @@ std::optional<ScenarioResult> try_run_parallel(
     engine.domain(d).reserve(dom_flows[static_cast<std::size_t>(d)] +
                              dom_hosts[static_cast<std::size_t>(d)] * 8 + 64);
   }
-  prewarm_demux(topo, flows);
 
   std::vector<std::uint32_t> order(flows.size());
   std::iota(order.begin(), order.end(), 0u);
@@ -1219,7 +1196,6 @@ ScenarioResult run_scenario_with_flows(ScenarioConfig cfg,
     if (!run.streaming) run.records.push_back(record_from(f));
     if (!f.background) ++run.outstanding;
   }
-  prewarm_demux(built.topo(), run.flows);
 
   // Schedule flow launches as a chain in start-time order (stable sort:
   // same-instant flows keep generation order, which the up-front scheduler

@@ -1,6 +1,8 @@
 // Link serialization/propagation timing, switch routing/hooks, host demux.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "net/droptail_queue.h"
 #include "net/host.h"
 #include "net/link.h"
@@ -82,6 +84,33 @@ TEST_F(LinkFixture, BusyTimeAccumulates) {
   queue.enqueue(make_data_packet(1, 0, 99, 1));
   sim.run();
   EXPECT_NEAR(link.busy_time(), 2 * 1500.0 * 8 / 1e9, 1e-12);
+}
+
+// A run can stop with a hop pending; the packet that hop carries must go
+// back to the thread's pool when the simulator is destroyed, whether its
+// tx-done (serializing) or its delivery (propagating) is the pending event.
+// The network objects die first, as a scenario's topology does.
+TEST(LinkTeardown, PendingHopReturnsPacketToPool) {
+  for (const bool serialized : {false, true}) {
+    PacketPool& pool = PacketPool::local();
+    auto sim = std::make_unique<sim::Simulator>();
+    {
+      SinkNode sink{99};
+      DropTailQueue queue{10};
+      Link link{*sim, 1e9, 10e-6};
+      link.connect(&queue, &sink);
+      queue.enqueue(make_data_packet(1, 0, 99, 0));
+      if (serialized) {
+        ASSERT_TRUE(sim->step());  // tx-done fired and scheduled the delivery
+      }
+      ASSERT_EQ(sim->pending_events(), 1u);
+      ASSERT_TRUE(sink.packets.empty());
+    }
+    const std::size_t held = pool.available();
+    sim.reset();
+    EXPECT_EQ(pool.available(), held + 1)
+        << (serialized ? "delivery pending" : "tx-done pending");
+  }
 }
 
 // --- Switch -------------------------------------------------------------------

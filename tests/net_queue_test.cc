@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "net/droptail_queue.h"
+#include "net/packet_ring.h"
 #include "net/pfabric_queue.h"
 #include "net/priority_queue_bank.h"
 #include "net/red_ecn_queue.h"
@@ -31,6 +32,41 @@ bool push(Q& q, PacketPtr p) {
     using Queue::do_enqueue;
   };
   return (q.*(&Shim::do_enqueue))(std::move(p));
+}
+
+// --- PacketRing --------------------------------------------------------------
+
+TEST(PacketRing, GrowsWhileWrappedAndKeepsFifoOrder) {
+  PacketRing r(100);
+  EXPECT_EQ(r.buffer_bytes(), 0u);  // nothing allocated up front
+  for (std::uint32_t i = 0; i < 6; ++i) r.push_back(data(1, i));
+  EXPECT_EQ(r.buffer_bytes(), 8 * sizeof(PacketPtr));
+  for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(r.pop_front()->seq, i);
+  // Head at slot 4: the next six pushes wrap past the end of the 8 slots,
+  // and the ninth live packet forces a growth with the FIFO wrapped.
+  for (std::uint32_t i = 6; i < 13; ++i) r.push_back(data(1, i));
+  EXPECT_EQ(r.size(), 9u);
+  EXPECT_EQ(r.buffer_bytes(), 16 * sizeof(PacketPtr));
+  for (std::uint32_t i = 13; i < 20; ++i) r.push_back(data(1, i));
+  for (std::uint32_t i = 4; i < 20; ++i) EXPECT_EQ(r.pop_front()->seq, i);
+  EXPECT_TRUE(r.empty());
+}
+
+TEST(PacketRing, StopsGrowingAtCapacity) {
+  PacketRing r(20);
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    EXPECT_FALSE(r.full());
+    r.push_back(data(1, i));
+  }
+  EXPECT_TRUE(r.full());
+  EXPECT_EQ(r.buffer_bytes(), 20 * sizeof(PacketPtr));  // 8, 16, then capped
+  // Cycling through a full ring reuses its slots.
+  for (std::uint32_t i = 20; i < 60; ++i) {
+    EXPECT_EQ(r.pop_front()->seq, i - 20);
+    r.push_back(data(1, i));
+    EXPECT_TRUE(r.full());
+  }
+  EXPECT_EQ(r.buffer_bytes(), 20 * sizeof(PacketPtr));
 }
 
 // --- DropTail ---------------------------------------------------------------
@@ -102,6 +138,25 @@ TEST(RedEcnQueue, TailDropsAtCapacity) {
   EXPECT_EQ(q.drops(), 1u);
 }
 
+TEST(RedEcnQueue, DropsAndMarksAtExactCapacityAndThreshold) {
+  // The ring grows (8, 16, 32, 50) on the way, but every decision still
+  // compares against the configured capacity and threshold.
+  RedEcnQueue q(50, 10);
+  for (std::uint32_t i = 0; i < 50; ++i) {
+    EXPECT_TRUE(push(q, data(1, i))) << i;
+    EXPECT_EQ(q.marks(), i < 10 ? 0u : i - 9u) << i;
+  }
+  EXPECT_EQ(q.drops(), 0u);
+  EXPECT_FALSE(push(q, data(1, 50)));
+  EXPECT_EQ(q.drops(), 1u);
+  EXPECT_EQ(q.buffer_bytes(), 50 * sizeof(PacketPtr));
+  for (std::uint32_t i = 0; i < 50; ++i) EXPECT_EQ(pop(q)->ecn_ce, i >= 10);
+  // A queue that only ever held a few packets holds the minimum ring.
+  RedEcnQueue shallow(500, 65);
+  for (std::uint32_t i = 0; i < 3; ++i) push(shallow, data(1, i));
+  EXPECT_EQ(shallow.buffer_bytes(), 8 * sizeof(PacketPtr));
+}
+
 // --- Priority bank -----------------------------------------------------------
 
 TEST(PriorityQueueBank, StrictPriorityAcrossClasses) {
@@ -163,6 +218,31 @@ TEST(PriorityQueueBank, CountsDequeuesPerClass) {
   EXPECT_EQ(q.class_dequeues(0), 1u);
   EXPECT_EQ(q.class_dequeues(2), 1u);
   EXPECT_EQ(q.class_dequeues(1), 0u);
+}
+
+TEST(PriorityQueueBank, ClassesGrowIndependentlyUnderSharedCap) {
+  PriorityQueueBank q(8, 500, 50);
+  EXPECT_EQ(q.buffer_bytes(), 0u);
+  for (std::uint32_t i = 0; i < 20; ++i) push(q, data(1, i, 0, 2));
+  EXPECT_EQ(q.buffer_bytes(), 32 * sizeof(PacketPtr));  // class 2 only
+  for (std::uint32_t i = 0; i < 3; ++i) push(q, data(2, i, 0, 0));
+  EXPECT_EQ(q.buffer_bytes(), (32 + 8) * sizeof(PacketPtr));
+  // Class 5 takes the rest of the shared pool; the pool cap, not the class
+  // ring, then drops arrivals of any class.
+  for (std::uint32_t i = 0; i < 477; ++i) {
+    ASSERT_TRUE(push(q, data(3, i, 0, 5))) << i;
+  }
+  EXPECT_EQ(q.len_packets(), 500u);
+  EXPECT_FALSE(push(q, data(4, 0, 0, 7)));
+  EXPECT_FALSE(push(q, data(4, 1, 0, 0)));
+  EXPECT_EQ(q.drops(), 2u);
+  EXPECT_EQ(q.class_len(5), 477u);
+  // Class 5 doubled to 256 slots, then capped at the pool size.
+  EXPECT_EQ(q.buffer_bytes(), (32 + 8 + 500) * sizeof(PacketPtr));
+  // FIFO within each class survives the growth.
+  for (std::uint32_t i = 0; i < 3; ++i) EXPECT_EQ(pop(q)->seq, i);
+  for (std::uint32_t i = 0; i < 20; ++i) EXPECT_EQ(pop(q)->seq, i);
+  for (std::uint32_t i = 0; i < 477; ++i) EXPECT_EQ(pop(q)->seq, i);
 }
 
 // --- pFabric ------------------------------------------------------------------

@@ -299,23 +299,29 @@ TEST(TraceDeterminism, FatTreePodDomainsByteIdenticalAtOneTwoThreeWorkers) {
   }
 }
 
+double metric_value(const workload::ScenarioResult& r,
+                    const std::string& name) {
+  for (const auto& m : r.metrics) {
+    if (m.name == name) return m.value;
+  }
+  ADD_FAILURE() << "metric " << name << " missing";
+  return -1.0;
+}
+
 TEST(Metrics, ScenarioResultCarriesAggregates) {
   const auto r = traced_scenario(workload::Protocol::kPase, 1);
   ASSERT_FALSE(r.metrics.empty());
-  const auto value_of = [&](const std::string& name) -> double {
-    for (const auto& m : r.metrics) {
-      if (m.name == name) return m.value;
-    }
-    ADD_FAILURE() << "metric " << name << " missing";
-    return -1.0;
-  };
-  EXPECT_EQ(value_of("flows.total"), static_cast<double>(r.records.size()));
-  EXPECT_GT(value_of("engine.executed_events"), 0.0);
-  EXPECT_EQ(value_of("engine.heap_closure_events"), 0.0);
-  EXPECT_EQ(value_of("engine.workers"), 1.0);
-  EXPECT_GT(value_of("fabric.enqueues"), 0.0);
-  EXPECT_GT(value_of("control.messages_sent"), 0.0);  // PASE arbitrates
-  EXPECT_EQ(value_of("trace.dropped"), 0.0);
+  EXPECT_EQ(metric_value(r, "flows.total"),
+            static_cast<double>(r.records.size()));
+  EXPECT_GT(metric_value(r, "engine.executed_events"), 0.0);
+  EXPECT_EQ(metric_value(r, "engine.heap_closure_events"), 0.0);
+  EXPECT_EQ(metric_value(r, "engine.workers"), 1.0);
+  EXPECT_GT(metric_value(r, "fabric.enqueues"), 0.0);
+  // PASE arbitrates.
+  EXPECT_GT(metric_value(r, "control.messages_sent"), 0.0);
+  EXPECT_EQ(metric_value(r, "trace.dropped"), 0.0);
+  EXPECT_GT(metric_value(r, "mem.demux_bytes"), 0.0);
+  EXPECT_GT(metric_value(r, "mem.queue_buffer_bytes"), 0.0);
 }
 
 TEST(Metrics, ParallelRunReportsRoundStatistics) {
@@ -323,7 +329,8 @@ TEST(Metrics, ParallelRunReportsRoundStatistics) {
                          "parallel.cross_posts", "engine.workers",
                          "parallel.lineage_compactions",
                          "mem.lineage_peak_bytes", "parallel.domains",
-                         "parallel.max_domain_event_share"};
+                         "parallel.max_domain_event_share", "mem.demux_bytes",
+                         "mem.queue_buffer_bytes"};
   workload::ScenarioConfig cfg;
   cfg.protocol = workload::Protocol::kDctcp;
   cfg.topology = workload::ScenarioConfig::TopologyKind::kThreeTier;
@@ -351,6 +358,52 @@ TEST(Metrics, ParallelRunReportsRoundStatistics) {
   EXPECT_EQ(domains, 2.0);
   EXPECT_GE(share, 0.5);
   EXPECT_LE(share, 1.0);
+}
+
+// A k=8 fat-tree (128 hosts, 80 switches of 8 ports) at a fixed load.
+workload::ScenarioConfig fat_tree_k8(workload::Protocol p, int flows) {
+  workload::ScenarioConfig cfg;
+  cfg.protocol = p;
+  cfg.topology = workload::ScenarioConfig::TopologyKind::kFatTree;
+  cfg.fattree.k = 8;
+  cfg.stats_mode = workload::ScenarioConfig::StatsMode::kStreaming;
+  cfg.traffic.pattern = workload::Pattern::kIntraRackRandom;
+  cfg.traffic.load = 0.3;
+  cfg.traffic.num_flows = flows;
+  cfg.traffic.num_background_flows = 0;
+  cfg.traffic.seed = 5;
+  return cfg;
+}
+
+TEST(Metrics, DemuxBytesTrackLiveFlowsNotFlowCount) {
+  // Eight times the flows at the same load: the same concurrency, so the
+  // host demux tables (sized by registered flows) hold about the same bytes.
+  // Tables indexed by flow id would grow eightfold.
+  const auto few = workload::run_scenario(
+      fat_tree_k8(workload::Protocol::kDctcp, 1000));
+  const auto many = workload::run_scenario(
+      fat_tree_k8(workload::Protocol::kDctcp, 8000));
+  ASSERT_EQ(few.unfinished(), 0u);
+  ASSERT_EQ(many.unfinished(), 0u);
+  const double a = metric_value(few, "mem.demux_bytes");
+  const double b = metric_value(many, "mem.demux_bytes");
+  EXPECT_GT(a, 0.0);
+  EXPECT_LE(b, 1.25 * a) << a << " -> " << b;
+}
+
+TEST(Metrics, PaseQueueBuffersHoldHighWaterMarkNotCapacity) {
+  // PASE ports are 8-class strict-priority banks sharing one 500-packet
+  // buffer. Preallocating every class ring at the shared capacity would
+  // hold queues x classes x capacity x 8 B; rings that grow with their
+  // occupancy hold a small fraction of that.
+  const auto r =
+      workload::run_scenario(fat_tree_k8(workload::Protocol::kPase, 1000));
+  ASSERT_EQ(r.unfinished(), 0u);
+  const double queues = 128 + 80 * 8;  // host uplinks + switch ports
+  const double full = queues * 8 * 500 * 8;
+  const double held = metric_value(r, "mem.queue_buffer_bytes");
+  EXPECT_GT(held, 0.0);
+  EXPECT_LT(held, full / 4) << held << " of " << full;
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 // Tests for the discrete-event engine: ordering, cancellation, timers, RNG.
 #include <gtest/gtest.h>
 
-#include <cstdint>\n#include <memory>\n#include <utility>\n#include <vector>
+#include <cstdint>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "sim/rng.h"
 #include "sim/simulator.h"

@@ -23,6 +23,7 @@ class FaultQueue : public net::Queue {
 
   std::size_t len_packets() const override { return inner_->len_packets(); }
   std::size_t len_bytes() const override { return inner_->len_bytes(); }
+  std::size_t buffer_bytes() const override { return inner_->buffer_bytes(); }
 
   // Give the shared drop hook to every FaultQueue made by a factory.
   static topo::QueueFactory wrap_factory(topo::QueueFactory base,
