@@ -36,6 +36,23 @@ inline unsigned parse_threads(int argc, char** argv) {
   return 0;
 }
 
+// Parses `--workers=N` (parallel-engine workers per run) from argv. Returns
+// 1 when absent and 0 — after printing why — when N is not a positive
+// integer, so callers can exit on 0.
+inline int parse_workers(int argc, char** argv) {
+  int workers = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--workers=", 10) == 0) {
+      workers = std::atoi(argv[i] + 10);
+      if (workers < 1) {
+        std::fprintf(stderr, "error: --workers must be at least 1\n");
+        return 0;
+      }
+    }
+  }
+  return workers;
+}
+
 // Parses `--protocols=a,b,c` (or `--protocols a,b,c`; `--protocol` is an
 // accepted alias) into Protocol values via workload::parse_protocol, so any
 // figure can be re-run over a different protocol subset without recompiling:

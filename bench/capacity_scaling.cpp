@@ -17,7 +17,11 @@
 // land in BENCH_capacity.json.
 //
 // Flags:
-//   --quick    stop at 10^5 flows (CI smoke; keeps the leg under ~2 s)
+//   --quick      stop at 10^5 flows (CI smoke; keeps the leg under ~2 s)
+//   --workers=N  run each scale on N parallel-engine workers (default 1).
+//                The rack splits into one domain per worker; the simulated
+//                results must equal the 1-worker rows, and CI gates the
+//                partitioned run's peak RSS against them.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -29,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "workload/scenario.h"
 
 namespace {
@@ -47,6 +52,7 @@ struct ScaleOut {
   std::uint64_t peak_rss_bytes = 0;
   std::uint64_t peak_live_flows = 0;
   std::uint64_t slab_grow_events = 0;
+  std::uint64_t workers_used = 0;
   double setup_sec = 0.0;
   double wall_sec = 0.0;
   double packets_per_sec = 0.0;
@@ -55,8 +61,9 @@ struct ScaleOut {
   double end_time_s = 0.0;
 };
 
-ScenarioConfig capacity_config(int num_flows) {
+ScenarioConfig capacity_config(int num_flows, int workers) {
   ScenarioConfig cfg;
+  cfg.workers = workers;
   cfg.protocol = Protocol::kDctcp;
   cfg.topology = ScenarioConfig::TopologyKind::kSingleRack;
   cfg.rack.num_hosts = 32;
@@ -76,8 +83,8 @@ ScenarioConfig capacity_config(int num_flows) {
   return cfg;
 }
 
-ScaleOut run_scale(int num_flows) {
-  const ScenarioConfig cfg = capacity_config(num_flows);
+ScaleOut run_scale(int num_flows, int workers) {
+  const ScenarioConfig cfg = capacity_config(num_flows, workers);
   const auto t0 = std::chrono::steady_clock::now();
   const workload::ScenarioResult r = workload::run_scenario(cfg);
   const auto t1 = std::chrono::steady_clock::now();
@@ -89,6 +96,7 @@ ScaleOut run_scale(int num_flows) {
   out.sim_packets = r.data_packets_sent;
   out.peak_live_flows = r.peak_live_flows;
   out.slab_grow_events = r.slab_grow_events;
+  out.workers_used = static_cast<std::uint64_t>(r.workers_used);
   out.setup_sec = r.setup_wall_sec;
   out.wall_sec = std::chrono::duration<double>(t1 - t0).count();
   out.packets_per_sec =
@@ -107,7 +115,7 @@ ScaleOut run_scale(int num_flows) {
 
 // Forks, runs one scale in the child, and reads the result back. Returns
 // false if the child failed.
-bool run_scale_isolated(int num_flows, ScaleOut* out) {
+bool run_scale_isolated(int num_flows, int workers, ScaleOut* out) {
   int fd[2];
   if (pipe(fd) != 0) return false;
   const pid_t pid = fork();
@@ -118,7 +126,7 @@ bool run_scale_isolated(int num_flows, ScaleOut* out) {
   }
   if (pid == 0) {
     close(fd[0]);
-    const ScaleOut r = run_scale(num_flows);
+    const ScaleOut r = run_scale(num_flows, workers);
     ssize_t n = write(fd[1], &r, sizeof(r));
     close(fd[1]);
     _exit(n == static_cast<ssize_t>(sizeof(r)) ? 0 : 1);
@@ -145,25 +153,28 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
+  const int workers = pase::bench::parse_workers(argc, argv);
+  if (workers == 0) return 1;
 
   std::vector<int> scales = {1000, 10000, 100000};
   if (!quick) scales.push_back(1000000);
 
-  std::printf("capacity scaling (%s): DCTCP single-rack, 3-MSS flows, "
-              "streaming stats, recycled endpoints\n",
-              quick ? "quick" : "full");
+  std::printf("capacity scaling (%s, %d worker%s): DCTCP single-rack, "
+              "3-MSS flows, streaming stats, recycled endpoints\n",
+              quick ? "quick" : "full", workers, workers == 1 ? "" : "s");
   std::printf("%-10s %12s %10s %10s %14s %12s %12s %10s\n", "flows",
               "peak RSS", "setup(s)", "wall(s)", "pkts/sec", "peak live",
               "slab grows", "afct(ms)");
 
   std::string json = "{\n  \"bench\": \"capacity\",\n  \"mode\": \"";
   json += quick ? "quick" : "full";
-  json += "\",\n  \"cases\": [\n";
+  json += "\",\n  \"workers\": " + std::to_string(workers);
+  json += ",\n  \"cases\": [\n";
 
   bool ok = true;
   for (std::size_t i = 0; i < scales.size(); ++i) {
     ScaleOut r;
-    if (!run_scale_isolated(scales[i], &r)) {
+    if (!run_scale_isolated(scales[i], workers, &r)) {
       std::fprintf(stderr, "error: scale %d failed\n", scales[i]);
       ok = false;
       break;
@@ -177,7 +188,7 @@ int main(int argc, char** argv) {
                 r.afct_s * 1e3);
     std::fflush(stdout);
 
-    char row[640];
+    char row[768];
     std::snprintf(
         row, sizeof(row),
         "    {\"flows\": %llu, \"completed\": %llu, \"unfinished\": %llu,\n"
@@ -185,7 +196,8 @@ int main(int argc, char** argv) {
         "     \"wall_sec\": %.6f, \"sim_packets\": %llu,\n"
         "     \"packets_per_sec\": %.1f, \"peak_live_flows\": %llu,\n"
         "     \"slab_grow_events\": %llu, \"afct_s\": %.9f,\n"
-        "     \"fct_p99_s\": %.9f, \"end_time_s\": %.6f}%s\n",
+        "     \"fct_p99_s\": %.9f, \"end_time_s\": %.6f,\n"
+        "     \"workers_used\": %llu}%s\n",
         static_cast<unsigned long long>(r.flows),
         static_cast<unsigned long long>(r.completed),
         static_cast<unsigned long long>(r.unfinished),
@@ -193,7 +205,9 @@ int main(int argc, char** argv) {
         r.wall_sec, static_cast<unsigned long long>(r.sim_packets),
         r.packets_per_sec, static_cast<unsigned long long>(r.peak_live_flows),
         static_cast<unsigned long long>(r.slab_grow_events), r.afct_s,
-        r.fct_p99_s, r.end_time_s, i + 1 < scales.size() ? "," : "");
+        r.fct_p99_s, r.end_time_s,
+        static_cast<unsigned long long>(r.workers_used),
+        i + 1 < scales.size() ? "," : "");
     json += row;
   }
   json += "  ]\n}\n";

@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "workload/scenario.h"
 
 namespace {
@@ -241,14 +242,10 @@ int main(int argc, char** argv) {
       obs.profile = true;
     } else if (std::strncmp(argv[i], "--telemetry=", 12) == 0) {
       obs.telemetry_base = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      obs.workers = std::atoi(argv[i] + 10);
-      if (obs.workers < 1) {
-        std::fprintf(stderr, "error: --workers must be at least 1\n");
-        return 1;
-      }
     }
   }
+  obs.workers = pase::bench::parse_workers(argc, argv);
+  if (obs.workers == 0) return 1;
 
   // Flow counts grow with the host population so per-host load is comparable
   // across the quick rows; the k=24/32 rows cap total flows (the scale

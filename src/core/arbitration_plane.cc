@@ -126,10 +126,9 @@ ArbitrationPlane::ArbitrationPlane(const SimResolver& sim_of, PlaneTopology pt,
         delegation_tors_.push_back(tid);
       }
     }
-    // Timers go on each ToR's own domain clock, in globally sorted ToR-id
-    // order: under deterministic lineage the j-th timer claims setup root
-    // index j on its domain, and sorting makes that index partition-invariant
-    // (the sequential FIFO order and the parallel merge order agree).
+    // Timers go on each ToR's own domain clock as setup roots, in globally
+    // sorted ToR-id order: the j-th timer takes setup index j, which sorting
+    // makes partition-invariant (see setup_events()).
     std::sort(delegation_tors_.begin(), delegation_tors_.end());
     std::uint32_t j = 0;
     for (const net::NodeId tid : delegation_tors_) {
@@ -142,18 +141,19 @@ ArbitrationPlane::ArbitrationPlane(const SimResolver& sim_of, PlaneTopology pt,
       auto& as = agg_states_.at(ts.agg->id());
       as.demand_up[tid] = 0.0;
       as.demand_down[tid] = 0.0;
-      ts.sim->set_setup_index(j++);
-      schedule_delegation_reports(ts);
+      TorState* tsp = &ts;
+      ts.sim->schedule_setup_at(
+          ts.sim->now() + cfg_.delegation_update_period, j++,
+          [this, tsp] { delegation_tick(*tsp); });
     }
   }
 }
 
-void ArbitrationPlane::schedule_delegation_reports(TorState& ts) {
+void ArbitrationPlane::delegation_tick(TorState& ts) {
+  send_delegation_report(ts);
   TorState* tsp = &ts;
-  ts.sim->schedule(cfg_.delegation_update_period, [this, tsp] {
-    send_delegation_report(*tsp);
-    schedule_delegation_reports(*tsp);
-  });
+  ts.sim->schedule(cfg_.delegation_update_period,
+                   [this, tsp] { delegation_tick(*tsp); });
 }
 
 // ---------------------------------------------------------------------------

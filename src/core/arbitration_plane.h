@@ -102,10 +102,11 @@ class ArbitrationPlane {
   // engine windows or after the run.
   const ControlPlaneStats& stats() const;
 
-  // Setup-time events the plane scheduled during construction (one per
-  // delegation timer), in globally sorted ToR-id order. The harness offsets
-  // its own setup lineage indices (flow launches) past this count so the
-  // combined setup-root order replays the sequential scheduling order.
+  // Setup roots the plane scheduled during construction (one per delegation
+  // timer, indices [0, count) in globally sorted ToR-id order). The harness
+  // numbers its flow launches past this count, so at any instant the timers'
+  // first firings precede launches, as they would if every launch were
+  // scheduled before the run.
   std::uint32_t setup_events() const {
     return static_cast<std::uint32_t>(delegation_tors_.size());
   }
@@ -211,7 +212,8 @@ class ArbitrationPlane {
   void receiver_finished(const transport::Flow& flow);
 
   // Delegation.
-  void schedule_delegation_reports(TorState& ts);
+  // One delegation period at a ToR: report its demand, then re-arm.
+  void delegation_tick(TorState& ts);
   void send_delegation_report(TorState& ts);
   void handle_report_at_agg(AggState& as, const net::Packet& p);
   void handle_grant_at_tor(TorState& ts, const net::Packet& p);

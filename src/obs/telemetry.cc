@@ -240,38 +240,8 @@ void TelemetryPlane::flush_window(sim::Time t_end) {
   window_t0_ = t_end;
 }
 
-void TelemetryPlane::arm(sim::Simulator& sim) {
-  PASE_DCHECK(!armed_ && "telemetry plane armed twice");
-  armed_sim_ = &sim;
-  armed_ = true;
-  sim.schedule_raw(cfg_.sample_period, &TelemetryPlane::on_tick, this);
-}
-
-void TelemetryPlane::on_tick(void* ctx, void*) {
-  auto* self = static_cast<TelemetryPlane*>(ctx);
-  if (!self->armed_) return;
-  self->sample(self->armed_sim_->now());
-  // Standalone mode also mirrors each tick onto the trace stream when a
-  // tracer is installed, preserving the kQueueSample records the old
-  // FabricTelemetry emitted.
-  if (TraceBuffer* tb = tracer(); tb != nullptr) [[unlikely]] {
-    std::size_t i = 0;
-    for (const QueueState& qs : self->queues_) {
-      tb->emit(kQueueCat, EventType::kQueueSample, 0,
-               static_cast<double>(qs.queue->drops()),
-               static_cast<double>(qs.queue->marks()),
-               static_cast<std::uint32_t>(i),
-               static_cast<std::uint32_t>(qs.queue->len_packets()));
-      ++i;
-    }
-  }
-  self->armed_sim_->schedule_raw(self->cfg_.sample_period,
-                                 &TelemetryPlane::on_tick, self);
-}
-
 std::shared_ptr<const TelemetrySummary> TelemetryPlane::finish(
     sim::Time end_time) {
-  armed_ = false;
   // Flush a trailing partial window so late activity is never dropped.
   bool partial = false;
   for (const WindowAccum& w : window_) partial = partial || w.samples > 0;
@@ -346,26 +316,6 @@ const std::string* TelemetryPlane::busiest() const {
     }
   }
   return best;
-}
-
-void TelemetryPlane::fold_into(MetricsRegistry& reg) const {
-  std::uint64_t drops = 0, marks = 0, enqueues = 0;
-  const double n = samples_ > 0 ? static_cast<double>(samples_) : 1.0;
-  for (std::size_t i = 0; i < queues_.size(); ++i) {
-    const QueueState& qs = queues_[i];
-    reg.gauge("fabric.queue." + names_[i] + ".occupancy_mean") =
-        qs.occ_sum / n;
-    reg.gauge("fabric.queue." + names_[i] + ".occupancy_max") =
-        static_cast<double>(qs.occ_max);
-    reg.counter("fabric.queue." + names_[i] + ".drops") = qs.queue->drops();
-    reg.counter("fabric.queue." + names_[i] + ".marks") = qs.queue->marks();
-    drops += qs.queue->drops();
-    marks += qs.queue->marks();
-    enqueues += qs.queue->enqueues();
-  }
-  reg.counter("fabric.drops") = drops;
-  reg.counter("fabric.marks") = marks;
-  reg.counter("fabric.enqueues") = enqueues;
 }
 
 // ---------------------------------------------------------------------------

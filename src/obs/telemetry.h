@@ -13,12 +13,12 @@
 // Determinism contract: sample() reads only simulation-domain state (queue
 // lengths, cumulative drop/mark counters, link busy time and byte counts) at
 // domain-quiescent instants chosen on the sample grid t = n * sample_period.
-// The scenario harness drives it at sub-chunk boundaries where every domain
-// clock sits exactly on the grid, so the sample stream — and therefore the
-// serialized "pase-telemetry" JSONL — is byte-identical at any worker count.
-// Standalone users (tests, examples) can instead arm() the plane on a
-// simulator; sampling then rides the allocation-free raw typed-event path,
-// exactly like the FabricTelemetry sampler this plane replaces.
+// The caller drives it: the scenario driver runs the engine to each grid
+// instant inside a chunk (every domain clock parked exactly there) and
+// samples, so the sample stream — and therefore the serialized
+// "pase-telemetry" JSONL — is byte-identical at any worker count, and the
+// event stream is the same with telemetry on or off. Tests drive the grid by
+// hand the same way.
 //
 // Per-window statistics reuse the stats/streaming estimators: mean/max are
 // exact, p99 comes from a fixed-geometry LogHistogram (order-independent by
@@ -36,8 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/dcheck.h"
 #include "sim/simulator.h"
 #include "stats/streaming.h"
@@ -211,10 +209,9 @@ struct TelemetrySummary {
   bool write_jsonl(const std::string& path) const;
 };
 
-// The sampling plane. Construct over a built topology, then either let the
-// scenario harness call sample() on the grid at quiescent instants, or arm()
-// it on a simulator for standalone event-driven sampling. finish() flushes
-// the trailing partial window and renders the summary.
+// The sampling plane. Construct over a built topology and call sample() on
+// the grid at quiescent instants; finish() flushes the trailing partial
+// window and renders the summary.
 class TelemetryPlane {
  public:
   TelemetryPlane(topo::BuiltTopology& built, const TelemetryConfig& cfg);
@@ -235,11 +232,6 @@ class TelemetryPlane {
   // size. (Links feed themselves from per-sample byte deltas.)
   void note_flow(std::uint64_t flow_id, std::uint64_t size_bytes);
 
-  // Standalone mode: schedules a periodic sample on the raw typed-event
-  // path (no heap closures, engine counters unchanged). stop() ends it.
-  void arm(sim::Simulator& sim);
-  void stop() { armed_ = false; }
-
   // Flushes the trailing partial window and builds the summary.
   std::shared_ptr<const TelemetrySummary> finish(sim::Time end_time);
 
@@ -252,16 +244,7 @@ class TelemetryPlane {
   // Name of the queue with the highest mean backlog — usually the bottleneck.
   const std::string* busiest() const;
 
-  // Exports per-queue aggregates into a metrics registry:
-  //   fabric.queue.<name>.occupancy_mean / .occupancy_max   gauges
-  //   fabric.queue.<name>.drops / .marks                    counters
-  //   fabric.drops / fabric.marks / fabric.enqueues         aggregates
-  void fold_into(MetricsRegistry& reg) const;
-
  private:
-  // Raw-event trampoline for armed (standalone) mode.
-  static void on_tick(void* ctx, void* arg);
-
   struct QueueState {
     net::Queue* queue = nullptr;
     const net::Link* link = nullptr;
@@ -330,8 +313,6 @@ class TelemetryPlane {
   std::uint32_t windows_flushed_ = 0;
   sim::Time prev_sample_t_ = 0.0;
   sim::Time window_t0_ = 0.0;
-  sim::Simulator* armed_sim_ = nullptr;  // standalone mode only
-  bool armed_ = false;
 };
 
 }  // namespace pase::obs

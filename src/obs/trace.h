@@ -13,9 +13,11 @@
 //     costs one thread-local load plus one predictable not-taken branch —
 //     no allocation, no virtual call, no change to simulation behaviour.
 //   - Enabled: the harness preallocates one TraceBuffer per execution
-//     domain and installs it on the thread that runs that domain. Emitting
-//     writes one fixed-size record into the ring; the ring never grows, so
-//     an enabled run stays allocation-free in steady state too.
+//     domain, and sim::ParallelEngine installs it on whichever thread runs
+//     that domain, for as long as it runs (a sequential run is one domain on
+//     the caller's thread), then restores the thread's previous buffer.
+//     Emitting writes one fixed-size record into the ring; the ring never
+//     grows, so an enabled run stays allocation-free in steady state too.
 //
 // Determinism: records carry the executing event's time and lineage order
 // key (stamped once per event dispatch by Simulator::step through
@@ -190,7 +192,7 @@ namespace detail {
 extern thread_local TraceBuffer* tls_buffer;
 }
 // The per-thread trace sink, or nullptr (the default). Emit sites branch on
-// this; the harness installs a buffer only for traced runs.
+// this; the engine installs a domain's buffer only for traced runs.
 inline TraceBuffer* tracer() { return detail::tls_buffer; }
 inline void install_tracer(TraceBuffer* buffer) {
   detail::tls_buffer = buffer;
@@ -199,15 +201,6 @@ inline void install_tracer(TraceBuffer* buffer) {
 constexpr TraceBuffer* tracer() { return nullptr; }
 inline void install_tracer(TraceBuffer*) {}
 #endif
-
-// RAII install/uninstall for the calling thread.
-class ScopedTracer {
- public:
-  explicit ScopedTracer(TraceBuffer* buffer) { install_tracer(buffer); }
-  ~ScopedTracer() { install_tracer(nullptr); }
-  ScopedTracer(const ScopedTracer&) = delete;
-  ScopedTracer& operator=(const ScopedTracer&) = delete;
-};
 
 // --- Configuration ---------------------------------------------------------
 

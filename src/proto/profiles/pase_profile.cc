@@ -78,7 +78,7 @@ class PaseProfile final : public TransportProfile {
       pc.criterion = core::Criterion::kEarliestDeadlineFirst;
     }
     // Each shard's arbitrators and timers live on the owning node's domain
-    // clock; sequential runs resolve every node to the one simulator.
+    // clock; a context without a resolver puts every node on ctx.sim.
     sim::Simulator& seq = ctx.sim;
     auto sim_of = ctx.sim_resolver
                       ? ctx.sim_resolver

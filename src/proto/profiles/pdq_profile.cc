@@ -44,8 +44,8 @@ class PdqProfile final : public TransportProfile {
     if (!ctx.any_deadline) po.early_termination = false;
     auto cp = std::make_unique<PdqControlPlane>();
     // Controllers on every switch output port... Each controller reads the
-    // clock of its node's domain (ctx.sim_of falls back to ctx.sim in
-    // sequential runs).
+    // clock of its node's domain (ctx.sim_of falls back to ctx.sim when the
+    // context has no resolver).
     for (const auto& sw : ctx.built.topo().switches()) {
       auto cs = transport::PdqController::attach(ctx.sim_of(sw->id()), *sw, po);
       for (auto& c : cs) cp->controllers.push_back(std::move(c));

@@ -40,10 +40,11 @@ class ControlPlane {
   // Counters for ScenarioResult::control; null when the protocol has none.
   virtual const core::ControlPlaneStats* stats() const { return nullptr; }
 
-  // Setup-time calendar events the control plane scheduled while being
-  // constructed (PASE's delegation timers), in a globally deterministic
-  // order. The parallel harness offsets its flow-launch lineage indices past
-  // this count so setup roots stay globally unique and partition-invariant.
+  // Setup roots (Simulator::schedule_setup_at) the control plane scheduled
+  // while being constructed (PASE's delegation timers), with indices
+  // [0, count) in a globally deterministic order. The harness numbers its
+  // flow launches past this count so setup roots stay globally unique and
+  // partition-invariant.
   virtual std::uint32_t setup_events() const { return 0; }
   // Appends the nodes at which the control plane spontaneously schedules
   // timer events (as opposed to reacting to packet arrivals). The parallel
@@ -65,11 +66,11 @@ struct RunContext {
   bool any_deadline = false;
   ControlPlane* control = nullptr;  // set once make_control_plane returned
 
-  // Parallel runs partition the topology into per-worker domains, each with
-  // its own Simulator. Profiles that build per-node machinery (PDQ's
-  // per-port rate controllers) must place it on the owning node's domain
-  // clock; sequential runs leave the resolver empty and everything lives on
-  // `sim`.
+  // The harness partitions the topology into domains, each with its own
+  // Simulator (one domain in a sequential run). Profiles that build per-node
+  // machinery (PDQ's per-port rate controllers) must place it on the owning
+  // node's domain clock; a context built without a resolver (as tests do)
+  // puts everything on `sim`.
   std::function<sim::Simulator&(net::NodeId)> sim_resolver = {};
   sim::Simulator& sim_of(net::NodeId node) {
     return sim_resolver ? sim_resolver(node) : sim;

@@ -23,7 +23,10 @@ ParallelEngine::ParallelEngine(int domains, int workers)
   sims_.reserve(static_cast<std::size_t>(domains));
   for (int d = 0; d < domains; ++d) {
     sims_.push_back(std::make_unique<Simulator>());
-    sims_.back()->enable_det(static_cast<std::uint32_t>(d), &lineage_);
+    // One domain is a sequential run: its FIFO order is the order.
+    if (domains > 1) {
+      sims_.back()->enable_det(static_cast<std::uint32_t>(d), &lineage_);
+    }
   }
   // Mailboxes grow to their steady size in the first windows and keep it
   // (clear() retains capacity); with one domain per pod there are D^2 of
@@ -139,6 +142,7 @@ void ParallelEngine::publish(int d) {
 }
 
 void ParallelEngine::compact() {
+  PASE_DCHECK(num_domains() > 1 && "one domain keeps no lineage");
   live_refs_.clear();
   trace_keys_.clear();
   const auto keep = [this](DetLineage::NodeId& id) {
@@ -148,7 +152,6 @@ void ParallelEngine::compact() {
   for (auto& box : mail_) {
     for (CrossRecord& r : box) keep(r.node);
   }
-  if (lineage_refs_) lineage_refs_(keep);
   for (const DomainPub& p : pub_) {
     if (p.trace == nullptr) continue;
     p.trace->for_each_unsealed([this](obs::TraceEvent& e) {
@@ -168,6 +171,7 @@ void ParallelEngine::decide() {
   ++rounds_;
   // Every mailbox is empty (just drained, or nobody posted) and every event
   // before the coming window has run: the instants so far are closed.
+  if (round_hook_) round_hook_();
   if (lineage_.compaction_due()) compact();
   Time m = kTimeInfinity;
   Time h = kTimeInfinity;
@@ -245,8 +249,16 @@ void ParallelEngine::run_rounds(int w) {
 }
 
 void ParallelEngine::run_until(Time target) {
-  PASE_DCHECK(lookahead_ > 0.0 && "parallel run requires positive lookahead");
   if (!threads_started_) start_threads();
+  obs::TraceBuffer* const caller_trace = obs::tracer();
+  if (num_domains() == 1) {
+    obs::install_tracer(pub_[0].trace);
+    domain(0).run(target);
+    obs::install_tracer(caller_trace);
+    now_ = target;
+    return;
+  }
+  PASE_DCHECK(lookahead_ > 0.0 && "parallel run requires positive lookahead");
   const std::uint64_t rounds_before = rounds_;
   const std::uint64_t posts_before = cross_posts();
   const std::uint64_t drains_before = drains_;
@@ -256,7 +268,6 @@ void ParallelEngine::run_until(Time target) {
   // The finish phase of the previous chunk may have posted deliveries that
   // land in this chunk; always open with a drain.
   round_ = Round::kDrain;
-  obs::TraceBuffer* const caller_trace = obs::tracer();
   start_barrier_.arrive_and_wait([] {});
   run_rounds(0);
   obs::install_tracer(caller_trace);

@@ -21,7 +21,7 @@
 //   finish  — H passed the caller's target: every domain runs inclusively to
 //             the target and sets its clock there, exactly the semantics of
 //             Simulator::run(target), so the chunked scenario driver behaves
-//             identically to its sequential form.
+//             identically at any domain count.
 //
 // Scheduling: domains are not pinned to threads. Worker w owns the block of
 // domains [w*D/W, (w+1)*D/W); in every round it claims domains from its own
@@ -55,12 +55,19 @@
 // events run, never their order, so traces stay bit-identical across worker
 // counts and probe choices.
 //
+// One domain: the engine is then the sequential simulator. The domain runs
+// without det mode on the caller's thread — run_until is Simulator::run with
+// the domain's trace ring installed — so there is no lookahead, lineage,
+// mailbox or barrier, and compact() must not be called.
+//
 // Memory: when the lineage budget is spent, the leader that decides a round
 // also compacts the lineage (every domain quiescent, every mailbox empty),
 // rewriting each live reference in place: pending events' nodes, each
-// domain's executing context, mailbox records, the caller's out-of-band
-// records (set_lineage_refs) and the lineage keys on the trace records each
-// domain emitted since the last pass, which become integer merge keys.
+// domain's executing context, mailbox records and the lineage keys on the
+// trace records each domain emitted since the last pass, which become integer
+// merge keys. Out-of-band records keyed by lineage ids (deferred completion
+// reports) are consumed by the round hook just before, so none is live
+// across a pass.
 #pragma once
 
 #include <atomic>
@@ -82,7 +89,7 @@ class ParallelEngine {
  public:
   // Creates `domains` Simulators, run by min(workers, domains) threads: the
   // caller's (worker 0) plus the rest, started lazily on the first
-  // run_until.
+  // run_until. With more than one domain every domain runs in det mode.
   ParallelEngine(int domains, int workers);
   ~ParallelEngine();
 
@@ -92,18 +99,20 @@ class ParallelEngine {
   int num_domains() const { return static_cast<int>(sims_.size()); }
   int num_workers() const { return static_cast<int>(workers_.size()); }
   Simulator& domain(int d) { return *sims_[static_cast<std::size_t>(d)]; }
-  // The shared lineage arena (every domain runs in det mode); exposed so
-  // callers can order out-of-band records (e.g. deferred completion
-  // callbacks) exactly as the sequential run would have fired them.
+  // The shared lineage arena of a det-mode run; exposed so callers can order
+  // out-of-band records (e.g. deferred completion callbacks) exactly as the
+  // sequential run would have fired them.
   DetLineage& lineage() { return lineage_; }
 
-  // Out-of-band lineage ids the caller keeps across barriers (e.g. deferred
-  // completion records carrying make_post_node ids). Each compaction pass
-  // calls `enumerate` with a visitor to apply to every such NodeId&; the
-  // visitor rewrites it in place. Called while every domain is quiescent.
-  using RefVisitor = std::function<void(DetLineage::NodeId&)>;
-  void set_lineage_refs(std::function<void(const RefVisitor&)> enumerate) {
-    lineage_refs_ = std::move(enumerate);
+  // Called by the round leader at every horizon decision, with every domain
+  // quiescent and every mailbox empty, before the lineage is compacted: the
+  // place to consume out-of-band records keyed by lineage ids (make_post_node
+  // ids), which a compaction pass would invalidate. Every record made so far
+  // comes from an event that ran before every event still to run, so
+  // records consumed round by round, each round's in lineage order, are
+  // consumed in lineage order overall.
+  void set_round_hook(std::function<void()> hook) {
+    round_hook_ = std::move(hook);
   }
 
   // Compacts the lineage now. The round leader does this on its own when
@@ -112,8 +121,8 @@ class ParallelEngine {
   // before merging the rings.
   void compact();
 
-  // Minimum propagation delay over all cut links; must be positive and set
-  // before the first run_until.
+  // Minimum propagation delay over all cut links; with more than one domain
+  // it must be positive and set before the first run_until.
   void set_lookahead(Time lookahead) { lookahead_ = lookahead; }
   Time lookahead() const { return lookahead_; }
 
@@ -127,8 +136,8 @@ class ParallelEngine {
   void set_horizon_probe(HorizonProbe probe) { probe_ = std::move(probe); }
 
   // Runs once on each worker thread before its first round (and once on the
-  // caller's thread, worker 0): thread-local warmup such as packet-pool
-  // prewarming.
+  // caller's thread, worker 0, at the first run_until): thread-local warmup
+  // such as packet-pool prewarming.
   void set_thread_init(std::function<void()> fn) {
     thread_init_ = std::move(fn);
   }
@@ -310,9 +319,9 @@ class ParallelEngine {
   std::uint64_t posts_at_decide_ = 0;
   std::atomic<std::uint64_t> cross_posts_{0};
 
-  // Compaction: the caller's out-of-band references, and the gathered
-  // reference lists (reused across passes).
-  std::function<void(const RefVisitor&)> lineage_refs_;
+  // The caller's round hook, and compaction's gathered reference lists
+  // (reused across passes).
+  std::function<void()> round_hook_;
   std::vector<DetLineage::NodeId*> live_refs_;
   std::vector<DetLineage::NodeId*> trace_keys_;
 

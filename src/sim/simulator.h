@@ -7,7 +7,9 @@
 // walking buckets from the current calendar day — O(1) amortized instead of
 // the O(log n) pointer-chasing sift of a binary heap. Events scheduled for
 // the same instant fire in scheduling order (FIFO, via a monotonic sequence
-// number), which keeps packet pipelines deterministic.
+// number), which keeps packet pipelines deterministic. Setup roots
+// (schedule_setup_at) are the one exception: they precede every other event
+// at their instant, in the order of their caller-given index.
 //
 // Events are typed, fixed-size payloads, not std::functions. A slot holds a
 // raw invoker `void(*)(void* ctx, void* arg)` plus a 24-byte payload that is
@@ -128,6 +130,30 @@ class Simulator {
     return commit_slot(slot, t);
   }
 
+  // Schedules a setup root at absolute time `t` (>= now()). At its instant a
+  // setup root fires before every event that an executing event scheduled,
+  // and among setup roots in `k` order: the order of events scheduled before
+  // the run starts (control-plane timers, then flow launches), kept whether
+  // the root is scheduled during setup, from inside an event or between
+  // runs. Without det mode the root takes sequence number k + 1 (runtime
+  // sequence numbers start above 2^32); in det mode it interns the lineage
+  // root {sigma 0, no parent, k}, so k must be unique across all domains.
+  // It is scheduled as from the setup context, which is then left as found.
+  template <typename Fn>
+  EventId schedule_setup_at(Time t, std::uint32_t k, Fn&& fn) {
+    const std::uint64_t seq = next_seq_;
+    const DetLineage::NodeId node = cur_node_;
+    const std::uint32_t child = cur_k_;
+    next_seq_ = std::uint64_t{k} + 1;
+    cur_node_ = DetLineage::kNull;
+    cur_k_ = k;
+    const EventId id = schedule_at(t, std::forward<Fn>(fn));
+    next_seq_ = seq;
+    cur_node_ = node;
+    cur_k_ = child;
+    return id;
+  }
+
   // Cancels a pending event. Returns true iff the event was still pending;
   // cancelling a fired, cancelled, or default-constructed id returns false
   // and has no effect on engine state.
@@ -165,19 +191,11 @@ class Simulator {
 
   // Turns on lineage tracking for this domain. Must be called before any
   // event is scheduled into this simulator. Sequential runs never call this
-  // and pay only a predictable not-taken branch per schedule/step.
+  // and pay only a predictable not-taken branch per schedule/step. Setup
+  // roots that must order identically across partitionings (flow launches,
+  // control-plane timers) are scheduled with schedule_setup_at.
   void enable_det(std::uint32_t domain_id, DetLineage* lineage);
   bool det_enabled() const { return det_; }
-  // Global index for the NEXT setup-time scheduling (e.g. the flow launch
-  // order), so setup roots order identically across partitionings. Must be
-  // called from outside event execution (between chunks); it re-enters the
-  // setup context — cur_node_ still points at the chunk's last executed
-  // event, and a harness staging flows lazily at a barrier needs its
-  // schedulings interned as setup roots, not as that event's children.
-  void set_setup_index(std::uint32_t k) {
-    cur_node_ = DetLineage::kNull;
-    cur_k_ = k;
-  }
   // Lineage node for a cross-domain post (or any out-of-band record) made by
   // the currently executing event: takes the child slot `k` the event would
   // have consumed scheduling it locally, keeping sibling order exact.
@@ -193,8 +211,8 @@ class Simulator {
                             void* arg = nullptr);  // defined after the class
   // Visits every lineage reference this domain holds between events — the
   // node of each pending event and the last executed event's node (the
-  // parent of any out-of-event scheduling made before set_setup_index) —
-  // as a NodeId& that a compaction pass rewrites in place.
+  // parent of any plain out-of-event scheduling made after it) — as a
+  // NodeId& that a compaction pass rewrites in place.
   template <typename Visit>
   void for_each_lineage_ref(Visit&& visit) {
     PASE_DCHECK(injected_node_ == DetLineage::kNull);
@@ -224,6 +242,11 @@ class Simulator {
   std::uint64_t heap_closure_events() const { return heap_closure_events_; }
   std::uint64_t calendar_rebuilds() const { return calendar_rebuilds_; }
   std::size_t slot_chunks_allocated() const { return slot_chunks_.size(); }
+  // Bytes of event-slot storage allocated (chunks are never freed mid-run,
+  // so this is also the high-water mark).
+  std::size_t slot_bytes() const {
+    return slot_chunks_.size() * kSlotChunkSize * sizeof(Slot);
+  }
 
   // Registers a prefetch helper for a raw-event function. While an event
   // executes, the engine prefetches the payload pointers of the next two
@@ -328,6 +351,9 @@ class Simulator {
 
   static constexpr std::size_t kMinBuckets = 64;
   static constexpr std::size_t kInlinePayloadSize = 24;
+  // Sequence numbers up to 2^32 belong to setup roots (k + 1); ordinary
+  // schedulings count up from just above them.
+  static constexpr std::uint64_t kFirstRuntimeSeq = (std::uint64_t{1} << 32) + 1;
 
   enum class Kind : std::uint8_t {
     kRaw = 0,         // payload = RawPayload{ctx, arg}; nothing owned
@@ -587,7 +613,6 @@ class Simulator {
     return EventId{slot, s.gen};
   }
 
-
   // Interns the lineage node of a freshly committed event from the execution
   // context: scheduled now, by the event currently firing, as its next child.
   // An injected event instead adopts the node carried from its source domain
@@ -601,11 +626,9 @@ class Simulator {
       det_nodes_[slot] = injected_node_;
       injected_node_ = DetLineage::kNull;
     } else {
-      // Out-of-event schedulings are setup roots no matter when they happen
-      // on the wall clock: the harness may stage them lazily at a chunk
-      // barrier, but sequentially every one of them was scheduled before the
-      // run began, so their sigma must compare as "before all execution"
-      // (0), leaving the caller-provided setup index as the tie-break.
+      // Setup-context schedulings (before the first event, or through
+      // schedule_setup_at) have no parent: they are roots at sigma 0
+      // ("before all execution"), numbered by the setup index.
       const Time sigma = cur_node_ == DetLineage::kNull ? 0.0 : now_;
       det_nodes_[slot] = lineage_->add(static_cast<int>(domain_id_), sigma,
                                        cur_node_, cur_k_++);
@@ -666,7 +689,7 @@ class Simulator {
   bool det_ = false;
 
   Time now_ = 0.0;
-  std::uint64_t next_seq_ = 1;
+  std::uint64_t next_seq_ = kFirstRuntimeSeq;
   std::uint64_t executed_ = 0;
   std::uint64_t last_rebuild_exec_ = 0;  // rebuild cooldown (see locate_top)
   std::uint64_t heap_closure_events_ = 0;

@@ -9,10 +9,11 @@
 // arena bytes, SoA column row, and slot index — is recycled for a future
 // arrival, so memory tracks peak concurrency rather than total flow count.
 //
-// Single-writer: only the driver thread (sequential loop, or the parallel
-// engine's barrier code) touches the table. Endpoint *objects* run on their
-// domain's clock as usual; the table only constructs and destroys them while
-// domains are quiescent.
+// Single-writer: only the driver touches the table — from the one domain's
+// events in a sequential run, or at the parallel engine's barriers otherwise.
+// Endpoint *objects* run on their domain's clock as usual; with several
+// domains the table only constructs and destroys them while every domain is
+// quiescent.
 #pragma once
 
 #include <algorithm>
@@ -42,7 +43,7 @@ struct EndpointSlot {
   // records vector; in streaming mode it is the only copy and is folded into
   // the StreamingFlowStats when the slot retires.
   stats::FlowRecord record;
-  bool receiver_done = false;  // receiver reported completion
+  bool sender_done = false;    // sender reported finish or termination
   bool done = false;           // record finalized (finished or terminated)
   bool queued_retire = false;  // already on a retire list
   bool in_use = false;
@@ -59,16 +60,6 @@ class EndpointTable {
   }
 
   bool slab() const { return layout_.valid(); }
-
-  // Pre-sizes the table for an expected live-flow population.
-  void reserve(std::size_t n) {
-    slots_.reserve(n);
-    free_.reserve(n);
-    if (slab()) {
-      sender_arena_.reserve(n);
-      receiver_arena_.reserve(n);
-    }
-  }
 
   std::uint32_t acquire() {
     std::uint32_t s;
@@ -144,9 +135,7 @@ class EndpointTable {
 
   EndpointSlot& slot(std::uint32_t s) { return slots_[s]; }
   std::size_t size() const { return slots_.size(); }
-  std::size_t live() const { return live_; }
   std::size_t peak_live() const { return peak_live_; }
-  transport::FlowStateColumns& columns() { return columns_; }
 
   // Arena chunk allocations — constant in a warmed steady state of arrivals
   // and recycles (0 for heap-fallback profiles, where the analogue is the

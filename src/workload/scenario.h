@@ -63,10 +63,10 @@ struct ScenarioConfig : proto::ProfileParams {
   // topology is partitioned into one domain per fat-tree pod (whatever the
   // worker count; workers claim pods dynamically), or into one domain per
   // worker on topologies without pods. Results are bit-identical to
-  // workers == 1 at any count. Falls back to sequential execution when the
-  // profile is not parallel-safe, a cut link has zero propagation delay, or
-  // the partition degenerates to one domain; the fallback reports
-  // workers_used == 1 and names its cause in
+  // workers == 1 at any count. Falls back to sequential execution (one
+  // domain) when the profile is not parallel-safe, a cut link has zero
+  // propagation delay, or the partition degenerates to one domain; the
+  // fallback reports workers_used == 1 and names its cause in
   // ScenarioResult::parallel_fallback_reason. Composes with
   // exp::SweepRunner: each sweep thread runs its own engine.
   int workers = 1;

@@ -360,6 +360,78 @@ TEST(Metrics, ParallelRunReportsRoundStatistics) {
   EXPECT_LE(share, 1.0);
 }
 
+// A sequential run — one worker, or a fallback — is the one-domain case of
+// the partitioned driver and reports no parallel.* statistics.
+TEST(Metrics, OneDomainRunsEmitNoParallelMetrics) {
+  workload::ScenarioConfig cfg;
+  cfg.protocol = workload::Protocol::kDctcp;
+  cfg.topology = workload::ScenarioConfig::TopologyKind::kSingleRack;
+  cfg.rack.num_hosts = 8;
+  cfg.traffic.pattern = workload::Pattern::kIntraRackRandom;
+  cfg.traffic.load = 0.5;
+  cfg.traffic.num_flows = 40;
+  cfg.traffic.seed = 7;
+  const auto one = workload::run_scenario(cfg);
+  cfg.workers = 4;
+  cfg.rack.per_link_delay = 0.0;  // zero lookahead: falls back
+  const auto fallback = workload::run_scenario(cfg);
+  ASSERT_EQ(fallback.workers_used, 1);
+  ASSERT_FALSE(fallback.parallel_fallback_reason.empty());
+  for (const auto* r : {&one, &fallback}) {
+    EXPECT_GT(metric_value(*r, "engine.executed_events"), 0.0);
+    for (const auto& m : r->metrics) {
+      EXPECT_NE(m.name.rfind("parallel.", 0), 0u) << m.name;
+      EXPECT_NE(m.name, "mem.lineage_peak_bytes");
+    }
+  }
+}
+
+// The capacity bench's rack: 32 hosts, 3-MSS flows at load 0.6, streaming
+// statistics and recycled endpoints.
+workload::ScenarioConfig churn_rack(int flows, int workers) {
+  workload::ScenarioConfig cfg;
+  cfg.protocol = workload::Protocol::kDctcp;
+  cfg.topology = workload::ScenarioConfig::TopologyKind::kSingleRack;
+  cfg.rack.num_hosts = 32;
+  cfg.traffic.pattern = workload::Pattern::kIntraRackRandom;
+  cfg.traffic.load = 0.6;
+  cfg.traffic.num_flows = flows;
+  cfg.traffic.size_min_bytes = 4380;
+  cfg.traffic.size_max_bytes = 4380;
+  cfg.traffic.seed = 17;
+  cfg.stats_mode = workload::ScenarioConfig::StatsMode::kStreaming;
+  cfg.recycle_endpoints = true;
+  cfg.workers = workers;
+  return cfg;
+}
+
+TEST(Metrics, PartitionedEventSlotsTrackHostsNotFlows) {
+  // Each domain keeps one pending launch, so its event slots are sized by
+  // its hosts' in-flight events: ten times the flows at the same load use
+  // the same slot arena.
+  const auto few = workload::run_scenario(churn_rack(2000, 2));
+  const auto many = workload::run_scenario(churn_rack(20000, 2));
+  ASSERT_EQ(few.workers_used, 2);
+  ASSERT_EQ(many.unfinished(), 0u);
+  const double a = metric_value(few, "mem.event_slot_bytes");
+  const double b = metric_value(many, "mem.event_slot_bytes");
+  EXPECT_GT(a, 0.0);
+  EXPECT_LE(b, 1.25 * a) << a << " -> " << b;
+}
+
+TEST(Metrics, LaunchChainsKeepPendingEventsPerHostBounded) {
+  // A deterministic proxy for calendar pressure: staging a chunk's launches
+  // straight into the calendar would hold thousands of them pending.
+  for (const int workers : {1, 2}) {
+    workload::ScenarioConfig cfg = churn_rack(20000, workers);
+    cfg.profile = true;
+    const auto r = workload::run_scenario(cfg);
+    ASSERT_EQ(r.workers_used, workers);
+    EXPECT_LE(metric_value(r, "profile.engine.peak_pending"), 32.0 * 32)
+        << "workers=" << workers;
+  }
+}
+
 // A k=8 fat-tree (128 hosts, 80 switches of 8 ports) at a fixed load.
 workload::ScenarioConfig fat_tree_k8(workload::Protocol p, int flows) {
   workload::ScenarioConfig cfg;

@@ -132,6 +132,26 @@ TEST(ParallelGolden, PaseFatTreeK8PodDomainsAtThreeWorkers) {
   expect_fattree_k8_identical_at_three_workers(workload::Protocol::kPase);
 }
 
+// A 16-host rack on 3 workers splits into uneven domains, so every incast
+// burst's same-instant flows start in several domains. Their launches must
+// still interleave by flow index, exactly as on one worker.
+TEST(ParallelGolden, RackIncastAtThreeWorkersMatchesOneWorker) {
+  for (const auto& c : fingerprint_battery()) {
+    if (c.config.traffic.pattern != workload::Pattern::kIncast) continue;
+    const workload::Protocol p = c.config.protocol;
+    if (p != workload::Protocol::kDctcp && p != workload::Protocol::kPase) {
+      continue;
+    }
+    workload::ScenarioConfig cfg = c.config;
+    const std::uint64_t one = trace_fingerprint(workload::run_scenario(cfg));
+    cfg.workers = 3;
+    const workload::ScenarioResult r = workload::run_scenario(cfg);
+    EXPECT_EQ(trace_fingerprint(r), one) << c.label;
+    EXPECT_EQ(r.workers_used, 3) << c.label;
+    EXPECT_EQ(metric(r, "parallel.domains"), 3.0) << c.label;
+  }
+}
+
 // More workers than pods: a k=4 fat-tree has 4 domains, so 8 requested
 // workers run as 4 threads and say so.
 TEST(ParallelEngine, FatTreeClampsWorkersToPods) {

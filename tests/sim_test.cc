@@ -61,6 +61,40 @@ TEST(Simulator, EventsCanScheduleMoreEvents) {
   EXPECT_DOUBLE_EQ(s.now(), 5e-3);
 }
 
+// The launch-ordering contract. Event A (1 ms) schedules a plain event for
+// 3 ms; event B (2 ms) then schedules two setup roots for 3 ms, larger k
+// first, and one more root with a larger k was scheduled before the run.
+// At 3 ms the roots run first, in k order, and the plain event last — the
+// order they would have had if every root had been scheduled up front.
+std::vector<int> setup_root_order(Simulator& s) {
+  std::vector<int> order;
+  s.schedule_at(1e-3, [&] {
+    order.push_back(0);
+    s.schedule_at(3e-3, [&] { order.push_back(6); });
+  });
+  s.schedule_at(2e-3, [&] {
+    order.push_back(1);
+    s.schedule_setup_at(3e-3, 9, [&] { order.push_back(4); });
+    s.schedule_setup_at(3e-3, 4, [&] { order.push_back(3); });
+  });
+  s.schedule_setup_at(3e-3, 11, [&] { order.push_back(5); });
+  s.run();
+  return order;
+}
+
+TEST(Simulator, SetupRootsPrecedeScheduledEventsAndSortByIndex) {
+  Simulator s;
+  EXPECT_EQ(setup_root_order(s), (std::vector<int>{0, 1, 3, 4, 5, 6}));
+  EXPECT_EQ(s.heap_closure_events(), 0u);
+}
+
+TEST(Simulator, SetupRootsKeepTheirOrderInDetMode) {
+  DetLineage lineage(1);
+  Simulator s;
+  s.enable_det(0, &lineage);
+  EXPECT_EQ(setup_root_order(s), (std::vector<int>{0, 1, 3, 4, 5, 6}));
+}
+
 TEST(Simulator, RunUntilStopsAtBound) {
   Simulator s;
   int fired = 0;

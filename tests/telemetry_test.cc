@@ -1,7 +1,8 @@
-// Telemetry plane tests: queue enumeration and naming, armed-mode sampling
-// on the raw event path, window rollup math, the space-saving heavy-hitter
-// sketch's guarantees, JSONL shape, and byte-identity of the serialized
-// summary across worker counts (the plane's core determinism contract).
+// Telemetry plane tests: queue enumeration and naming, grid sampling driven
+// by hand (as the scenario driver does), window rollup math, the
+// space-saving heavy-hitter sketch's guarantees, JSONL shape, and
+// byte-identity of the serialized summary across worker counts (the plane's
+// core determinism contract).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +11,6 @@
 #include <vector>
 
 #include "net/droptail_queue.h"
-#include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "test_util.h"
 #include "topo/builder.h"
@@ -84,24 +84,6 @@ TEST(TelemetryPlane, EnumeratesEveryQueue) {
   EXPECT_EQ(tel.group_names()[1], "tier:edge");
 }
 
-TEST(TelemetryPlane, ArmedModeSamplesAtConfiguredPeriod) {
-  auto n = make_plane_net(2);
-  TelemetryPlane tel(*n->built, plane_cfg(1e-3));
-  tel.arm(n->sim);
-  n->sim.run(10.5e-3);
-  EXPECT_EQ(tel.samples_taken(), 10u);
-}
-
-TEST(TelemetryPlane, StopEndsSampling) {
-  auto n = make_plane_net(2);
-  TelemetryPlane tel(*n->built, plane_cfg(1e-3));
-  tel.arm(n->sim);
-  n->sim.run(3.5e-3);
-  tel.stop();
-  n->sim.run(10e-3);
-  EXPECT_EQ(tel.samples_taken(), 3u);
-}
-
 TEST(TelemetryPlane, ObservesBacklogAtBottleneck) {
   auto n = make_plane_net(3);
   // Two senders converge on host 2: the ToR downlink to host 2 backs up.
@@ -116,14 +98,17 @@ TEST(TelemetryPlane, ObservesBacklogAtBottleneck) {
   auto r1 = wire_flow(*n, s1, f1);
   auto r2 = wire_flow(*n, s2, f2);
   TelemetryPlane tel(*n->built, plane_cfg(50e-6));
-  tel.arm(n->sim);
   s1.start();
   s2.start();
-  n->sim.run(2e-3);
+  // Drive the grid by hand, as the scenario driver does.
+  for (std::uint64_t k = 1; k <= 40; ++k) {
+    n->sim.run(tel.sample_time(k));
+    tel.sample(n->sim.now());
+  }
+  EXPECT_EQ(tel.samples_taken(), 40u);
   EXPECT_GT(tel.peak_occupancy(), 10u);
   ASSERT_NE(tel.busiest(), nullptr);
   EXPECT_EQ(*tel.busiest(), "tor->h2");
-  tel.stop();
   n->sim.run(1.0);
 }
 
@@ -171,36 +156,6 @@ TEST(UtilizationProbe, NeverReportsMoreThanFullyBusy) {
   n->sim.run(1.0);
 }
 
-TEST(TelemetryPlane, FoldsIntoMetricsRegistry) {
-  auto n = make_plane_net(3);
-  auto f1 = make_flow(*n, 0, 2, 400 * net::kMss);
-  f1.id = 1;
-  auto f2 = make_flow(*n, 1, 2, 400 * net::kMss);
-  f2.id = 2;
-  transport::WindowSenderOptions o;
-  o.init_cwnd = 40;
-  transport::DctcpSender s1(n->sim, n->host(0), f1, o);
-  transport::DctcpSender s2(n->sim, n->host(1), f2, o);
-  auto r1 = wire_flow(*n, s1, f1);
-  auto r2 = wire_flow(*n, s2, f2);
-  TelemetryPlane tel(*n->built, plane_cfg(50e-6));
-  tel.arm(n->sim);
-  s1.start();
-  s2.start();
-  n->sim.run(2e-3);
-  tel.stop();
-
-  MetricsRegistry reg;
-  tel.fold_into(reg);
-  EXPECT_GT(reg.gauge("fabric.queue.tor->h2.occupancy_max"), 10.0);
-  EXPECT_GT(reg.counter_value("fabric.enqueues"), 0u);
-  EXPECT_EQ(reg.counter_value("fabric.queue.h0.up.drops") +
-                reg.counter_value("fabric.queue.h0.up.marks"),
-            n->host(0).uplink_queue().drops() +
-                n->host(0).uplink_queue().marks());
-  n->sim.run(1.0);
-}
-
 TEST(TelemetryPlane, LabelsQueuesWithTraceIds) {
   auto n = make_plane_net(4);
   const std::vector<std::string> names = label_fabric_queues(n->topo());
@@ -209,18 +164,6 @@ TEST(TelemetryPlane, LabelsQueuesWithTraceIds) {
   // Trace ids follow the same walk, so drop records can resolve the name.
   EXPECT_EQ(n->host(0).uplink_queue().trace_id(), 0u);
   EXPECT_EQ(n->host(3).uplink_queue().trace_id(), 3u);
-}
-
-TEST(TelemetryPlane, SamplesOnRawEventPath) {
-  auto n = make_plane_net(2);
-  const std::uint64_t before = n->sim.heap_closure_events();
-  TelemetryPlane tel(*n->built, plane_cfg(1e-3));
-  tel.arm(n->sim);
-  n->sim.run(10.5e-3);
-  EXPECT_EQ(tel.samples_taken(), 10u);
-  EXPECT_EQ(n->sim.heap_closure_events(), before)
-      << "telemetry sampling spilled a closure to the heap";
-  tel.stop();
 }
 
 // --- Window rollup math ------------------------------------------------------
