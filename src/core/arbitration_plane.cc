@@ -126,9 +126,9 @@ ArbitrationPlane::ArbitrationPlane(const SimResolver& sim_of, PlaneTopology pt,
         delegation_tors_.push_back(tid);
       }
     }
-    // Timers go on each ToR's own domain clock as setup roots, in globally
-    // sorted ToR-id order: the j-th timer takes setup index j, which sorting
-    // makes partition-invariant (see setup_events()).
+    // Timers go on each ToR's own domain clock as setup roots executing at
+    // the ToR, in globally sorted ToR-id order: the j-th timer takes setup
+    // index j, which sorting makes partition-invariant (see setup_events()).
     std::sort(delegation_tors_.begin(), delegation_tors_.end());
     std::uint32_t j = 0;
     for (const net::NodeId tid : delegation_tors_) {
@@ -144,6 +144,7 @@ ArbitrationPlane::ArbitrationPlane(const SimResolver& sim_of, PlaneTopology pt,
       TorState* tsp = &ts;
       ts.sim->schedule_setup_at(
           ts.sim->now() + cfg_.delegation_update_period, j++,
+          static_cast<std::uint32_t>(tid),
           [this, tsp] { delegation_tick(*tsp); });
     }
   }

@@ -18,8 +18,8 @@ void Link::transmit(PacketPtr p) {
   // The hop stays two-stage — tx-done schedules the delivery — because
   // same-instant event ties are pervasive under ACK clocking (every event
   // time is a sum of identical serialization quanta from a common
-  // busy-period base), and assigning the delivery's FIFO sequence number at
-  // transmit time instead of tx-done time flips those ties, changing traces.
+  // busy-period base), and drawing the delivery's order key at transmit
+  // time instead of tx-done time flips those ties, changing traces.
   // The in-flight packet rides in the event's arg word (released here,
   // re-wrapped in on_deliver), so ownership is never shared between events.
   sim_->schedule_raw(tx, &Link::on_tx_done, this, p.release());
@@ -27,23 +27,23 @@ void Link::transmit(PacketPtr p) {
 
 void Link::on_tx_done(void* self, void* packet) {
   auto* link = static_cast<Link*>(self);
-  // Delivery first: it must outrank (in FIFO order) anything scheduled by
-  // the idle kick below for the same instant. On a cut link the delivery
-  // crosses domains through the mailbox; posting here (before the idle
-  // kick) consumes the same child-index slot the delivery would have taken
-  // locally, which keeps its lineage ordering exact (see
-  // Simulator::make_post_node).
+  // Delivery first: its key must come before (in this node's counter
+  // order) anything scheduled by the idle kick below for the same instant.
+  // On a cut link the delivery crosses domains through the mailbox; posting
+  // here (before the idle kick) draws the same key the delivery would have
+  // drawn locally.
+  const sim::Time deliver_t = link->sim_->now() + link->delay_;
   if (link->cross_ == nullptr) [[likely]] {
     if (link->activity_armed_) [[unlikely]] ++link->inflight_;
-    link->sim_->schedule_raw(link->delay_, &Link::on_deliver, link, packet);
+    link->sim_->schedule_raw_at_node(deliver_t, link->dst_node_,
+                                     &Link::on_deliver, link, packet);
   } else {
     // Increment before the post: the engine's quiet-round check sees the
     // post, so a probe can only consult cross_inflight_ after this write is
     // visible (or after a drain round republished it).
     link->cross_inflight_.fetch_add(1, std::memory_order_relaxed);
-    link->cross_->post(link->cross_src_, link->cross_dst_,
-                       link->sim_->now() + link->delay_, &Link::on_deliver,
-                       link, packet);
+    link->cross_->post(link->cross_src_, link->cross_dst_, deliver_t,
+                       link->dst_node_, &Link::on_deliver, link, packet);
   }
   link->busy_ = false;
   if (link->source_ != nullptr) link->source_->on_link_idle();

@@ -1,5 +1,7 @@
 // Point-to-point unidirectional link: serialization at `rate_bps` followed by
-// fixed propagation delay, delivering into the destination node.
+// fixed propagation delay, delivering into the destination node. The
+// delivery event executes at the destination node (see the order key in
+// sim/simulator.h), whose id the link caches at connect.
 #pragma once
 
 #include <atomic>
@@ -32,6 +34,7 @@ class Link {
   void connect(Queue* source, Node* dst) {
     source_ = source;
     dst_ = dst;
+    dst_node_ = static_cast<std::uint32_t>(dst->id());
     source->set_link(this);
   }
 
@@ -64,8 +67,8 @@ class Link {
     register_event_fns();
   }
   // Marks the link as a cut edge: deliveries are posted into the destination
-  // domain's mailbox (ordered by a lineage node captured here) instead of being
-  // scheduled on the local calendar.
+  // domain's mailbox, with the order key a local delivery would have drawn,
+  // instead of being scheduled on the local calendar.
   void set_cross_post(sim::ParallelEngine* engine, int src_domain,
                       int dst_domain) {
     cross_ = engine;
@@ -124,8 +127,9 @@ class Link {
 
   // Hot fields first (Link has no vtable, so these start at offset 0):
   // on_tx_done and on_deliver — the two per-hop events — read sim_, delay_,
-  // both endpoints, cross_, the activity flags and busy_, all packed into
-  // the first cache line. The stats accumulators, cut-link plumbing and
+  // both endpoints, cross_, the activity flags, busy_ and the destination's
+  // id, all packed into the first cache line (tx-done names the delivery's
+  // node from dst_node_, so it never touches the destination node itself). The stats accumulators, cut-link plumbing and
   // name trail on later lines; transmit touches them once per serialization.
   sim::Simulator* sim_;
   double rate_bps_;
@@ -140,6 +144,7 @@ class Link {
   // decremented by the destination domain when the delivery executes.
   bool activity_armed_ = false;
   int inflight_ = 0;
+  std::uint32_t dst_node_ = 0;  // dst_->id()
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t packets_sent_ = 0;
   sim::Time busy_time_ = 0.0;

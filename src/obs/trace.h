@@ -19,10 +19,11 @@
 //     Emitting writes one fixed-size record into the ring; the ring never
 //     grows, so an enabled run stays allocation-free in steady state too.
 //
-// Determinism: records carry the executing event's time and lineage order
-// key (stamped once per event dispatch by Simulator::step through
-// begin_event), so per-domain buffers from a parallel run merge into exactly
-// the sequential emission order (see trace_sink.h).
+// Determinism: records carry the executing event's time and order key
+// (stamped once per event dispatch by the simulator through begin_event),
+// which every execution mode computes the same way, so per-domain buffers
+// from a parallel run merge into exactly the sequential emission order (see
+// trace_sink.h).
 #pragma once
 
 #include <cstddef>
@@ -82,10 +83,8 @@ std::string categories_string(std::uint32_t mask);
 
 // One fixed-size, trivially-copyable record. `t` and `order` are stamped
 // from the buffer's per-event context (begin_event); emit sites fill the
-// rest. `order` is kNoOrder outside parallel runs. In a parallel run it is
-// stamped with the executing event's DetLineage node id, which the engine's
-// next lineage compaction pass rewrites into an integer merge key: keys of
-// same-time records compare like their lineage. It never appears in
+// rest. `order` is the executing event's order key (sim/simulator.h), or
+// kNoOrder for records emitted outside any event. It never appears in
 // serialized output — it only drives the deterministic merge.
 struct TraceEvent {
   double t = 0.0;
@@ -117,8 +116,8 @@ class TraceBuffer {
   std::uint32_t categories() const { return categories_; }
 
   // Stamps the context every subsequent emit() inherits: the executing
-  // event's time and lineage order key. Called once per event dispatch by
-  // the simulator, so emit sites (queues, senders) need no clock access.
+  // event's time and order key. Called once per event dispatch by the
+  // simulator, so emit sites (queues, senders) need no clock access.
   void begin_event(double t, std::uint64_t order) {
     t_ = t;
     order_ = order;
@@ -136,7 +135,7 @@ class TraceBuffer {
     e = TraceEvent{t_, order_, flow, v0, v1, a, b, type};
   }
 
-  // Records one event at an explicit time with no lineage order (engine
+  // Records one event at an explicit time with no order key (engine
   // self-profiling emitted between windows, end-of-run samples).
   void emit_at(double t, std::uint32_t category, EventType type,
                std::uint64_t flow, double v0 = 0.0, double v1 = 0.0,
@@ -163,23 +162,10 @@ class TraceBuffer {
     return ring_[(first + i) & mask_];
   }
 
-  // Retained records emitted since the last seal(), oldest first, for the
-  // parallel engine to rewrite their order keys in place; seal() marks every
-  // record emitted so far as done.
-  template <typename Fn>
-  void for_each_unsealed(Fn&& fn) {
-    const std::uint64_t first = head_ < ring_.size() ? 0 : head_ - ring_.size();
-    for (std::uint64_t i = first > sealed_ ? first : sealed_; i < head_; ++i) {
-      fn(ring_[i & mask_]);
-    }
-  }
-  void seal() { sealed_ = head_; }
-
  private:
   std::vector<TraceEvent> ring_;
   std::uint64_t mask_;
   std::uint64_t head_ = 0;  // total records ever emitted
-  std::uint64_t sealed_ = 0;  // head_ at the last seal()
   std::uint32_t categories_;
   double t_ = 0.0;
   std::uint64_t order_ = kNoOrder;

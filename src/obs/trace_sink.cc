@@ -76,18 +76,13 @@ Trace merge_buffers(const std::vector<const TraceBuffer*>& buffers) {
   for (const TraceBuffer* b : buffers) {
     for (std::size_t i = 0; i < b->size(); ++i) tr.events.push_back(b->at(i));
   }
-  // Within one buffer records are already in (t, lineage) order — a domain
-  // executes its events in exactly that order — so a stable sort by time
-  // plus the cross-domain order-key tie-break reproduces the global
-  // sequential emission order. Records without a key (sequential runs,
-  // engine self-profiling) compare equal at their time and keep
-  // concatenation order.
+  // Within one buffer records are already in (t, key) order — a domain
+  // executes its events in exactly that order — so a stable sort on (t, key)
+  // reproduces the global sequential emission order. kNoOrder (engine
+  // self-profiling) is the largest key.
   std::stable_sort(tr.events.begin(), tr.events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      if (a.t != b.t) return a.t < b.t;
-                     if (a.order == kNoOrder || b.order == kNoOrder) {
-                       return false;  // stable sort keeps input order
-                     }
                      return a.order < b.order;
                    });
   return tr;

@@ -2,12 +2,10 @@
 //
 // A run produces one TraceBuffer per execution domain; merge_buffers folds
 // them into a single Trace in deterministic order: records sort by time,
-// with same-time ties broken by the integer order key each record carries
-// (the parallel engine ranks the executing events' DetLineage nodes into
-// these keys). Sequential runs have no lineage (order == kNoOrder on every
-// record) and a single buffer already in execution order, which IS the
-// (time, lineage) order a parallel run replays — so the merged trace of a
-// 4-worker run is byte-identical to the sequential one.
+// with same-time ties broken by the order key of the event that emitted
+// them. Every execution mode computes the same keys and executes each
+// domain's events in (time, key) order, so the merged trace of a 4-worker
+// run is byte-identical to the sequential one.
 //
 // Two sinks:
 //   - JSONL: schema-versioned, one event per line, first line is a header
@@ -46,9 +44,9 @@ struct Trace {
   bool write_chrome_json(const std::string& path) const;
 };
 
-// Merges per-domain buffers. Records without an order key keep
-// concatenation order within equal times (in a sequential run, that is
-// execution order).
+// Merges per-domain buffers by (time, order key). Records of one event, and
+// records without an order key, keep concatenation order; the latter sort
+// after every event's records at their time.
 Trace merge_buffers(const std::vector<const TraceBuffer*>& buffers);
 
 }  // namespace pase::obs

@@ -14,8 +14,7 @@ int clamp_workers(int domains, int workers) {
 }  // namespace
 
 ParallelEngine::ParallelEngine(int domains, int workers)
-    : lineage_(domains),
-      pub_(static_cast<std::size_t>(domains)),
+    : pub_(static_cast<std::size_t>(domains)),
       workers_(static_cast<std::size_t>(clamp_workers(domains, workers))),
       start_barrier_(clamp_workers(domains, workers)),
       round_barrier_(clamp_workers(domains, workers)) {
@@ -23,10 +22,6 @@ ParallelEngine::ParallelEngine(int domains, int workers)
   sims_.reserve(static_cast<std::size_t>(domains));
   for (int d = 0; d < domains; ++d) {
     sims_.push_back(std::make_unique<Simulator>());
-    // One domain is a sequential run: its FIFO order is the order.
-    if (domains > 1) {
-      sims_.back()->enable_det(static_cast<std::uint32_t>(d), &lineage_);
-    }
   }
   // Mailboxes grow to their steady size in the first windows and keep it
   // (clear() retains capacity); with one domain per pod there are D^2 of
@@ -57,10 +52,11 @@ ParallelEngine::~ParallelEngine() {
   }
 }
 
-void ParallelEngine::post(int src, int dst, Time deliver_t, RawFn fn,
-                          void* ctx, void* arg) {
-  mailbox(src, dst).push_back(
-      CrossRecord{deliver_t, domain(src).make_post_node(), fn, ctx, arg});
+void ParallelEngine::post(int src, int dst, Time deliver_t,
+                          std::uint32_t node, RawFn fn, void* ctx, void* arg) {
+  mailbox(src, dst).push_back(CrossRecord{deliver_t,
+                                          domain(src).next_key(deliver_t), fn,
+                                          ctx, arg, Simulator::tag_of(node)});
   cross_posts_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -119,8 +115,8 @@ void ParallelEngine::drain_inbox(int d) {
       // destination: the poster's published bound capped this domain's last
       // window. Equality would already be an ordering hazard — this domain
       // may have executed same-instant events that sort after the record.
-      PASE_DCHECK(r.t > sd.now() && "cross delivery behind the horizon");
-      sd.schedule_injected(r.t, r.node, r.fn, r.ctx, r.arg);
+      PASE_CHECK(r.t > sd.now() && "cross delivery behind the horizon");
+      sd.schedule_injected(r.t, r.key, r.tag, r.fn, r.ctx, r.arg);
     }
     box.clear();
   }
@@ -141,38 +137,11 @@ void ParallelEngine::publish(int d) {
   }
 }
 
-void ParallelEngine::compact() {
-  PASE_DCHECK(num_domains() > 1 && "one domain keeps no lineage");
-  live_refs_.clear();
-  trace_keys_.clear();
-  const auto keep = [this](DetLineage::NodeId& id) {
-    live_refs_.push_back(&id);
-  };
-  for (auto& s : sims_) s->for_each_lineage_ref(keep);
-  for (auto& box : mail_) {
-    for (CrossRecord& r : box) keep(r.node);
-  }
-  for (const DomainPub& p : pub_) {
-    if (p.trace == nullptr) continue;
-    p.trace->for_each_unsealed([this](obs::TraceEvent& e) {
-      if (e.order != obs::kNoOrder) trace_keys_.push_back(&e.order);
-    });
-  }
-  lineage_.compact(live_refs_, trace_keys_);
-  for (const DomainPub& p : pub_) {
-    if (p.trace != nullptr) p.trace->seal();
-  }
-}
-
 void ParallelEngine::decide() {
   // Leader-only, inside a barrier: every domain published its slot (and any
   // cross posts it made) before arriving, and the acq_rel arrival chain
   // makes those writes visible here.
   ++rounds_;
-  // Every mailbox is empty (just drained, or nobody posted) and every event
-  // before the coming window has run: the instants so far are closed.
-  if (round_hook_) round_hook_();
-  if (lineage_.compaction_due()) compact();
   Time m = kTimeInfinity;
   Time h = kTimeInfinity;
   for (const DomainPub& p : pub_) {

@@ -40,12 +40,13 @@
 //
 // Determinism: no decision depends on thread scheduling. The horizon is
 // computed by whichever thread arrives last from published per-domain
-// bounds; mailbox records carry DetLineage nodes interned in the source
-// domain, so injected deliveries sort against local events exactly where the
-// sequential FIFO order would place them (see det_lineage.h). Which worker
-// runs a domain never matters: a domain's event order depends only on its
-// calendar and the lineage, each domain runs on one thread per round, and
-// every handoff of a domain between threads crosses a barrier. All mailbox
+// bounds. Events order by the fixed key of sim/simulator.h, which every
+// domain computes the same way a sequential run does; a mailbox record
+// carries the key its source domain drew for it, so an injected delivery
+// sorts against local events exactly where a local delivery would. Which
+// worker runs a domain never matters: a domain's event order depends only
+// on its calendar, each domain runs on one thread per round, and every
+// handoff of a domain between threads crosses a barrier. All mailbox
 // access is separated by barriers too: producers append only during run
 // phases, consumers drain only between them, so each mailbox has one writer
 // per window. The only thread-local state a domain touches is the packet
@@ -56,18 +57,8 @@
 // counts and probe choices.
 //
 // One domain: the engine is then the sequential simulator. The domain runs
-// without det mode on the caller's thread — run_until is Simulator::run with
-// the domain's trace ring installed — so there is no lookahead, lineage,
-// mailbox or barrier, and compact() must not be called.
-//
-// Memory: when the lineage budget is spent, the leader that decides a round
-// also compacts the lineage (every domain quiescent, every mailbox empty),
-// rewriting each live reference in place: pending events' nodes, each
-// domain's executing context, mailbox records and the lineage keys on the
-// trace records each domain emitted since the last pass, which become integer
-// merge keys. Out-of-band records keyed by lineage ids (deferred completion
-// reports) are consumed by the round hook just before, so none is live
-// across a pass.
+// on the caller's thread — run_until is Simulator::run with the domain's
+// trace ring installed — so there is no lookahead, mailbox or barrier.
 #pragma once
 
 #include <atomic>
@@ -89,7 +80,7 @@ class ParallelEngine {
  public:
   // Creates `domains` Simulators, run by min(workers, domains) threads: the
   // caller's (worker 0) plus the rest, started lazily on the first
-  // run_until. With more than one domain every domain runs in det mode.
+  // run_until.
   ParallelEngine(int domains, int workers);
   ~ParallelEngine();
 
@@ -99,27 +90,6 @@ class ParallelEngine {
   int num_domains() const { return static_cast<int>(sims_.size()); }
   int num_workers() const { return static_cast<int>(workers_.size()); }
   Simulator& domain(int d) { return *sims_[static_cast<std::size_t>(d)]; }
-  // The shared lineage arena of a det-mode run; exposed so callers can order
-  // out-of-band records (e.g. deferred completion callbacks) exactly as the
-  // sequential run would have fired them.
-  DetLineage& lineage() { return lineage_; }
-
-  // Called by the round leader at every horizon decision, with every domain
-  // quiescent and every mailbox empty, before the lineage is compacted: the
-  // place to consume out-of-band records keyed by lineage ids (make_post_node
-  // ids), which a compaction pass would invalidate. Every record made so far
-  // comes from an event that ran before every event still to run, so
-  // records consumed round by round, each round's in lineage order, are
-  // consumed in lineage order overall.
-  void set_round_hook(std::function<void()> hook) {
-    round_hook_ = std::move(hook);
-  }
-
-  // Compacts the lineage now. The round leader does this on its own when
-  // the budget is spent; callers may call it between run_until calls, e.g.
-  // to turn every trace record's lineage key into an integer merge key
-  // before merging the rings.
-  void compact();
 
   // Minimum propagation delay over all cut links; with more than one domain
   // it must be positive and set before the first run_until.
@@ -149,11 +119,12 @@ class ParallelEngine {
     pub_[static_cast<std::size_t>(d)].trace = trace;
   }
 
-  // Posts a cross-domain event: fires at `deliver_t` in `dst`, ordered by a
-  // lineage node captured from `src`'s executing event right now. Must be
-  // called from the thread currently running domain `src`, during a run
-  // phase.
-  void post(int src, int dst, Time deliver_t, RawFn fn, void* ctx, void* arg);
+  // Posts a cross-domain event: fires at `deliver_t` in `dst`, executing at
+  // network node `node`, with the key `src`'s executing event draws for it
+  // right now (Simulator::next_key). Must be called from the thread
+  // currently running domain `src`, during a run phase.
+  void post(int src, int dst, Time deliver_t, std::uint32_t node, RawFn fn,
+            void* ctx, void* arg);
 
   // Advances every domain clock to exactly `target` (monotonically
   // increasing across calls), executing all events at times <= target.
@@ -199,10 +170,11 @@ class ParallelEngine {
  private:
   struct CrossRecord {
     Time t;
-    DetLineage::NodeId node;
+    std::uint64_t key;
     RawFn fn;
     void* ctx;
     void* arg;
+    std::uint32_t tag;
   };
 
   // Per-domain slots published between barriers, padded so neighbouring
@@ -289,7 +261,6 @@ class ParallelEngine {
   void publish(int d);
   void decide();  // barrier-leader only
 
-  DetLineage lineage_;  // before sims_: domains intern nodes into it
   std::vector<std::unique_ptr<Simulator>> sims_;
   std::vector<std::vector<CrossRecord>> mail_;  // [src * D + dst]
   std::vector<DomainPub> pub_;                  // published per round
@@ -318,12 +289,6 @@ class ParallelEngine {
   double horizon_width_sum_ = 0.0;
   std::uint64_t posts_at_decide_ = 0;
   std::atomic<std::uint64_t> cross_posts_{0};
-
-  // The caller's round hook, and compaction's gathered reference lists
-  // (reused across passes).
-  std::function<void()> round_hook_;
-  std::vector<DetLineage::NodeId*> live_refs_;
-  std::vector<DetLineage::NodeId*> trace_keys_;
 
   Barrier start_barrier_;
   Barrier round_barrier_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "obs/trace.h"
 
@@ -23,16 +25,41 @@ Simulator::Simulator() {
   bucket_heads_.assign(kMinBuckets, kNil);
   bucket_mask_ = kMinBuckets - 1;
   free_slots_.reserve(256);
+  node_keys_.push_back(kFirstSetupCounter);
+  enter_setup_context();
+}
+
+void Simulator::key_overflow() {
+  std::fprintf(stderr,
+               "PASE_CHECK failed: event order key overflow (age >= 2^8, "
+               "counter >= 2^36 or node tag >= 2^20)\n");
+  std::abort();
+}
+
+void Simulator::enter_setup_context() {
+  cur_key_ = 0;
+  cur_tag_ = 0;
+  counter_ = &node_keys_[0];
+  counter_limit_ = std::uint64_t{1} << kCounterBits;
+  child_age_ = 0;
+}
+
+void Simulator::grow_node_keys(std::uint32_t tag) {
+  std::size_t n = node_keys_.size();
+  node_keys_.resize(std::max<std::size_t>(tag + 1, n * 2));
+  for (; n < node_keys_.size(); ++n) {
+    node_keys_[n] = std::uint64_t{n} << kCounterBits;
+  }
 }
 
 Simulator::~Simulator() {
   // Pending events may own memory: heap closures their object, raw events
   // whatever their fn's registered disposer frees (a link hop's packet).
-  // Fired and cancelled slots carry seq 0 and were already downgraded to
+  // Fired and cancelled slots carry key 0 and were already downgraded to
   // kRaw, so they release nothing.
   for (std::uint32_t i = 0; i < num_slots_; ++i) {
     Slot& s = slot_at(i);
-    if (s.seq != 0 && s.kind == Kind::kRaw) {
+    if (s.key != 0 && s.kind == Kind::kRaw) {
       RawPayload rp;
       std::memcpy(&rp, s.payload, sizeof(rp));
       dispose_arg(s.fn, rp.arg);
@@ -118,8 +145,7 @@ void Simulator::flush_staged() {
     const std::uint32_t i = chain;
     Slot& s = slot_at(i);
     chain = s.next;
-    s.staged = false;
-    if (s.seq == 0) {
+    if (s.key == 0) {
       // Cancelled while staged (payload already freed); reclaim the slot now
       // that it is unchained.
       free_slots_.push_back(i);
@@ -139,7 +165,7 @@ bool Simulator::locate_top() {
       const std::uint64_t day = cur_day_ + k;
       std::uint32_t i = bucket_heads_[day & bucket_mask_];
       if (i == kNil) continue;
-      // Bucket lists are unsorted; scan for the day's (t, seq)-smallest
+      // Bucket lists are unsorted; scan for the day's (t, key)-smallest
       // events — the day's m smallest are the globally m smallest, since
       // every later day holds strictly later times — capturing up to
       // kTopCacheSize of them, and skipping events a full rotation (or
@@ -152,7 +178,7 @@ bool Simulator::locate_top() {
         // fetch with this entry's day check and cache insert.
         if (nx != kNil) __builtin_prefetch(&slot_at(nx));
         ++scanned;
-        if (day_of(s.t) == day) top_insert(s.t, s.seq, i);
+        if (day_of(s.t) == day) top_insert(s.t, s.key, i);
         i = nx;
       }
       if (top_count_ > 0) {
@@ -189,7 +215,7 @@ bool Simulator::locate_top() {
     for (std::size_t b = 0; b < nb; ++b) {
       for (std::uint32_t i = bucket_heads_[b]; i != kNil; i = slot_at(i).next) {
         const Slot& s = slot_at(i);
-        top_insert(s.t, s.seq, i);
+        top_insert(s.t, s.key, i);
       }
     }
     PASE_DCHECK(top_count_ > 0);
@@ -200,7 +226,7 @@ bool Simulator::locate_top() {
     // Only past-horizon events remain; their smallest prefix is global.
     for (std::uint32_t i = inf_list_; i != kNil; i = slot_at(i).next) {
       const Slot& s = slot_at(i);
-      top_insert(s.t, s.seq, i);
+      top_insert(s.t, s.key, i);
     }
     return true;
   }
@@ -263,13 +289,13 @@ bool Simulator::cancel(EventId id) {
   if (!id.valid() || id.slot_ >= num_slots_) return false;
   Slot& s = slot_at(id.slot_);
   if (s.gen != id.gen_) return false;  // already fired, cancelled, or reused
-  if (s.staged) {
+  if (s.prev == kStaged) {
     // Cheaply unlinking from the middle of the staging list isn't possible,
-    // so mark the node dead (seq = 0) and leave it chained; the slot is
+    // so mark the node dead (key = 0) and leave it chained; the slot is
     // retired — and removed — when the staging list is next flushed.
     --staged_count_;
     if (std::isfinite(s.t)) --staged_finite_;
-    s.seq = 0;
+    s.key = 0;
     destroy_payload(s);
     bump_gen(s);
     return true;
@@ -281,6 +307,12 @@ bool Simulator::cancel(EventId id) {
 }
 
 bool Simulator::step(Time until) {
+  const bool fired = dispatch(until);
+  enter_setup_context();
+  return fired;
+}
+
+bool Simulator::dispatch(Time until) {
   // Fast path: the top cache already knows the next event (~(K-1)/K of
   // pops); fall into the full locator only on a cache miss or staged batch.
   if (staged_list_ != kNil || top_count_ == 0) {
@@ -297,6 +329,8 @@ bool Simulator::step(Time until) {
   unlink(slot, s);
   const RawFn fn = s.fn;
   const Kind kind = s.kind;
+  const std::uint64_t key = s.key;
+  const std::uint32_t tag = s.tag;
   if (profiling_) [[unlikely]] profile_count(fn, kind);
   alignas(8) unsigned char payload[kInlinePayloadSize];
   std::memcpy(payload, s.payload, sizeof(payload));
@@ -307,17 +341,12 @@ bool Simulator::step(Time until) {
   }
   now_ = t;
   ++executed_;
-  if (det_) [[unlikely]] {
-    // Everything this callback schedules (or posts cross-domain) becomes a
-    // child of the firing event's lineage node, numbered from zero.
-    cur_node_ = det_nodes_[slot];
-    cur_k_ = 0;
-  }
+  enter_event(key, tag);
   if (obs::TraceBuffer* tb = obs::tracer(); tb != nullptr) [[unlikely]] {
     // Stamp the tracing context once per dispatch: everything the callback
     // emits (queue drops, cwnd samples, ...) inherits this event's time and
-    // lineage order key, so emit sites need neither a clock nor the engine.
-    tb->begin_event(t, det_ ? det_nodes_[slot] : obs::kNoOrder);
+    // order key, so emit sites need neither a clock nor the engine.
+    tb->begin_event(t, key);
   }
   // Overlap upcoming events' cache misses with this callback's execution.
   // The promoted top cache names the upcoming slots, so the objects the next
@@ -379,8 +408,9 @@ bool Simulator::step(Time until) {
 
 void Simulator::run(Time until) {
   stopped_ = false;
-  while (!stopped_ && step(until)) {
+  while (!stopped_ && dispatch(until)) {
   }
+  enter_setup_context();
   if (until != kTimeInfinity && now_ < until && !stopped_) now_ = until;
 }
 
@@ -402,16 +432,6 @@ void Simulator::profile_count(RawFn fn, Kind kind) {
   ++profile_other_;
 }
 
-void Simulator::enable_det(std::uint32_t domain_id, DetLineage* lineage) {
-  PASE_DCHECK(lineage != nullptr);
-  PASE_DCHECK(pending_events() == 0 && executed_ == 0 &&
-              "det mode must be enabled before any scheduling");
-  det_ = true;
-  domain_id_ = domain_id;
-  lineage_ = lineage;
-  det_nodes_.resize(slot_chunks_.size() << kSlotChunkShift);
-}
-
 Time Simulator::next_event_time() {
   if (staged_list_ != kNil || top_count_ == 0) {
     if (!locate_top()) return kTimeInfinity;
@@ -423,11 +443,12 @@ void Simulator::run_before(Time bound) {
   stopped_ = false;
   while (!stopped_) {
     if (staged_list_ != kNil || top_count_ == 0) {
-      if (!locate_top()) return;
+      if (!locate_top()) break;
     }
-    if (top_cache_[0].t >= bound) return;
-    step(kTimeInfinity);
+    if (top_cache_[0].t >= bound) break;
+    dispatch(kTimeInfinity);
   }
+  enter_setup_context();
 }
 
 }  // namespace pase::sim

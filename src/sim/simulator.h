@@ -5,11 +5,24 @@
 // width `width_` seconds, where an event at time t belongs to bucket
 // floor(t / width_) mod num_buckets. The next event overall is found by
 // walking buckets from the current calendar day — O(1) amortized instead of
-// the O(log n) pointer-chasing sift of a binary heap. Events scheduled for
-// the same instant fire in scheduling order (FIFO, via a monotonic sequence
-// number), which keeps packet pipelines deterministic. Setup roots
-// (schedule_setup_at) are the one exception: they precede every other event
-// at their instant, in the order of their caller-given index.
+// the O(log n) pointer-chasing sift of a binary heap.
+//
+// Event order. Every event carries one fixed 64-bit order key, computed the
+// same way in sequential and partitioned runs, and events fire in (time,
+// key) order. The key follows the age-based tie-breaking of Ronngren &
+// Liljenstam (PADS 1999) and packs age:8 | tag:20 | counter:36:
+//   - tag and counter: the node the *scheduling* event executes at (network
+//     node n has tag n + 1; tag 0 is the setup context) and that node's own
+//     count of schedulings;
+//   - age: the executing event's age + 1 for an event scheduled at the
+//     executing event's own instant, otherwise 0 (and 0 outside any event).
+// A child therefore always sorts after its parent, so the keys a simulator
+// executes rise, and a node's counter advances in the same order however
+// the nodes are partitioned into domains. Setup roots (schedule_setup_at)
+// take the key k + 1 with k < 2^32, below every counter, so they precede
+// every other event at their instant, in k order. Each event also records
+// the node it executes at: the scheduling event's, unless the scheduling
+// call names one (schedule_raw_at_node, schedule_setup_at).
 //
 // Events are typed, fixed-size payloads, not std::functions. A slot holds a
 // raw invoker `void(*)(void* ctx, void* arg)` plus a 24-byte payload that is
@@ -27,7 +40,7 @@
 //     steady state to zero.
 //
 // Buckets are intrusive doubly-linked lists threaded through the slot table:
-// each pending event owns one slot (invoker, payload, time, sequence,
+// each pending event owns one slot (invoker, payload, time, order key,
 // generation, prev/next links), so scheduling writes only the slot plus a
 // 4-byte bucket head, and no allocation happens outside slot-table growth.
 // The prev link makes unlink O(1) — popping the top no longer rescans its
@@ -53,7 +66,6 @@
 #include <vector>
 
 #include "sim/dcheck.h"
-#include "sim/det_lineage.h"
 
 namespace pase::sim {
 
@@ -91,13 +103,21 @@ class Simulator {
   Time now() const { return now_; }
 
   // Schedules a raw typed event: `fn(ctx, arg)` fires `delay` seconds from
-  // now. The zero-overhead form for hot-path call sites that already have a
-  // stable object to point at (links, timers, queues).
+  // now, at the node the executing event runs at. The zero-overhead form for
+  // hot-path call sites that already have a stable object to point at
+  // (links, timers, queues).
   EventId schedule_raw(Time delay, RawFn fn, void* ctx, void* arg = nullptr) {
     return schedule_raw_at(now_ + delay, fn, ctx, arg);
   }
-  EventId schedule_raw_at(Time t, RawFn fn, void* ctx,
-                          void* arg = nullptr);  // defined after the class
+  EventId schedule_raw_at(Time t, RawFn fn, void* ctx, void* arg = nullptr) {
+    return schedule_keyed(t, next_key(t), cur_tag_, fn, ctx, arg);
+  }
+  // The same, for an event that executes at network node `node` (a link
+  // delivery executes at the link's destination).
+  EventId schedule_raw_at_node(Time t, std::uint32_t node, RawFn fn,
+                               void* ctx, void* arg = nullptr) {
+    return schedule_keyed(t, next_key(t), tag_of(node), fn, ctx, arg);
+  }
 
   // Schedules any callable to run `delay` seconds from now (>= 0). Small
   // trivially-copyable closures are stored inline in the event slot (no
@@ -113,45 +133,29 @@ class Simulator {
   EventId schedule_at(Time t, Fn&& fn) {
     PASE_DCHECK(t >= now_ && "cannot schedule in the past");
     const std::uint32_t slot = acquire_slot();
-    Slot& s = slot_at(slot);
-    using F = std::decay_t<Fn>;
-    static_assert(std::is_invocable_v<F&>, "event callbacks take no args");
-    if constexpr (kInlineEligible<F>) {
-      ::new (static_cast<void*>(s.payload)) F(std::forward<Fn>(fn));
-      s.fn = &invoke_inline_closure<F>;
-      s.kind = Kind::kInlineClosure;
-    } else {
-      HeapPayload hp{new F(std::forward<Fn>(fn)), &destroy_heap_closure<F>};
-      std::memcpy(s.payload, &hp, sizeof(hp));
-      s.fn = &invoke_heap_closure<F>;
-      s.kind = Kind::kHeapClosure;
-      ++heap_closure_events_;
-    }
-    return commit_slot(slot, t);
+    emplace_closure(slot_at(slot), std::forward<Fn>(fn));
+    return commit_slot(slot, t, next_key(t), cur_tag_);
   }
 
-  // Schedules a setup root at absolute time `t` (>= now()). At its instant a
-  // setup root fires before every event that an executing event scheduled,
-  // and among setup roots in `k` order: the order of events scheduled before
-  // the run starts (control-plane timers, then flow launches), kept whether
-  // the root is scheduled during setup, from inside an event or between
-  // runs. Without det mode the root takes sequence number k + 1 (runtime
-  // sequence numbers start above 2^32); in det mode it interns the lineage
-  // root {sigma 0, no parent, k}, so k must be unique across all domains.
-  // It is scheduled as from the setup context, which is then left as found.
+  // Schedules a setup root at absolute time `t` (>= now()), executing at
+  // network node `node`. Its key is k + 1 (k < 2^32), so at its instant it
+  // fires before every event that an executing event scheduled, and among
+  // setup roots in `k` order: the order of events scheduled before the run
+  // starts (control-plane timers, then flow launches), kept whether the
+  // root is scheduled during setup, from inside an event or between runs.
+  // k must be unique across all domains of a run.
   template <typename Fn>
-  EventId schedule_setup_at(Time t, std::uint32_t k, Fn&& fn) {
-    const std::uint64_t seq = next_seq_;
-    const DetLineage::NodeId node = cur_node_;
-    const std::uint32_t child = cur_k_;
-    next_seq_ = std::uint64_t{k} + 1;
-    cur_node_ = DetLineage::kNull;
-    cur_k_ = k;
-    const EventId id = schedule_at(t, std::forward<Fn>(fn));
-    next_seq_ = seq;
-    cur_node_ = node;
-    cur_k_ = child;
-    return id;
+  EventId schedule_setup_at(Time t, std::uint32_t k, std::uint32_t node,
+                            Fn&& fn) {
+    PASE_DCHECK(t >= now_ && "cannot schedule in the past");
+    // Scheduled inside an event at its own instant (a launch chain
+    // re-arming), the root sorts after that event only by its larger k.
+    PASE_DCHECK((t != now_ || std::uint64_t{k} + 1 > cur_key_) &&
+                "setup root sorts before the executing event");
+    const std::uint32_t tag = tag_of(node);
+    const std::uint32_t slot = acquire_slot();
+    emplace_closure(slot_at(slot), std::forward<Fn>(fn));
+    return commit_slot(slot, t, std::uint64_t{k} + 1, tag);
   }
 
   // Cancels a pending event. Returns true iff the event was still pending;
@@ -164,7 +168,9 @@ class Simulator {
   // chunks that the first `n` concurrent events never allocate.
   void reserve(std::size_t n);
 
-  // Runs events until the queue drains or the clock passes `until`.
+  // Runs events until the queue drains or the clock passes `until`. Like
+  // run_before() and step(), it returns in the setup context, so a
+  // scheduling made between runs is a setup-context one in every mode.
   void run(Time until = kTimeInfinity);
 
   // Runs exactly one event if available; returns false when the queue is
@@ -178,48 +184,33 @@ class Simulator {
   //
   // A parallel run partitions the network into domains, one Simulator each,
   // and executes them in barrier-synchronized windows (see sim/parallel.h).
-  // Sequential runs break same-instant ties with the FIFO sequence number;
-  // per-domain counters cannot reproduce that global order, so in det mode
-  // every scheduled event interns a lineage node {sigma, parent, k} in a
-  // shared DetLineage and same-time ties compare by walking the ancestry —
-  // which replays the sequential order exactly, at any tie depth (see
-  // sim/det_lineage.h). Cross-domain link deliveries carry their node
-  // through the mailbox (make_post_node consumes the k slot the delivery
-  // would have taken locally) and are re-injected with schedule_injected.
-  // The engine compacts the shared lineage at round barriers, rewriting the
-  // ids this domain holds (for_each_lineage_ref).
+  // Cross-domain posts and completion reports carry order keys.
 
-  // Turns on lineage tracking for this domain. Must be called before any
-  // event is scheduled into this simulator. Sequential runs never call this
-  // and pay only a predictable not-taken branch per schedule/step. Setup
-  // roots that must order identically across partitionings (flow launches,
-  // control-plane timers) are scheduled with schedule_setup_at.
-  void enable_det(std::uint32_t domain_id, DetLineage* lineage);
-  bool det_enabled() const { return det_; }
-  // Lineage node for a cross-domain post (or any out-of-band record) made by
-  // the currently executing event: takes the child slot `k` the event would
-  // have consumed scheduling it locally, keeping sibling order exact.
-  DetLineage::NodeId make_post_node() {
-    PASE_DCHECK(det_);
-    return lineage_->add(static_cast<int>(domain_id_), now_, cur_node_,
-                         cur_k_++);
+  // The executing event's order key (0 in the setup context).
+  std::uint64_t current_key() const { return cur_key_; }
+  // Draws the key of an event the executing event schedules for time `t`:
+  // one step of its node's counter. Every scheduling call draws one; a
+  // partitioned run's cross-domain post draws it in the source domain,
+  // exactly as a local delivery would.
+  std::uint64_t next_key(Time t) {
+    const std::uint64_t n = (*counter_)++;
+    if (n >= counter_limit_) [[unlikely]] key_overflow();
+    if (t != now_) [[likely]] return n;
+    if (child_age_ > kMaxAge) [[unlikely]] key_overflow();
+    return n | (std::uint64_t{child_age_} << kAgeShift);
   }
-  // Injects a cross-domain event carrying a node captured in the source
-  // domain.
-  EventId schedule_injected(Time t, DetLineage::NodeId node, RawFn fn,
-                            void* ctx,
-                            void* arg = nullptr);  // defined after the class
-  // Visits every lineage reference this domain holds between events — the
-  // node of each pending event and the last executed event's node (the
-  // parent of any plain out-of-event scheduling made after it) — as a
-  // NodeId& that a compaction pass rewrites in place.
-  template <typename Visit>
-  void for_each_lineage_ref(Visit&& visit) {
-    PASE_DCHECK(injected_node_ == DetLineage::kNull);
-    for (std::uint32_t i = 0; i < num_slots_; ++i) {
-      if (slot_at(i).seq != 0) visit(det_nodes_[i]);  // seq 0: not pending
-    }
-    if (cur_node_ != DetLineage::kNull) visit(cur_node_);
+  // The tag of network node `node` (node + 1; aborts if it needs more than
+  // 20 bits).
+  static std::uint32_t tag_of(std::uint32_t node) {
+    if (node >= kTagLimit - 1) [[unlikely]] key_overflow();
+    return node + 1;
+  }
+  // Injects a cross-domain event with the key drawn in its source domain and
+  // the tag of the node it executes at.
+  EventId schedule_injected(Time t, std::uint64_t key, std::uint32_t tag,
+                            RawFn fn, void* ctx, void* arg = nullptr) {
+    PASE_DCHECK(tag < kTagLimit);
+    return schedule_keyed(t, key, tag, fn, ctx, arg);
   }
 
   // Time of the earliest pending event (kTimeInfinity when none): the
@@ -341,6 +332,10 @@ class Simulator {
   }
 
  private:
+  // Lets the engine's death tests reach the order-key and slot-space limits
+  // without exhausting memory.
+  friend struct SimulatorTestPeer;
+
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
   static std::size_t next_pow2(std::size_t n) {
@@ -351,9 +346,18 @@ class Simulator {
 
   static constexpr std::size_t kMinBuckets = 64;
   static constexpr std::size_t kInlinePayloadSize = 24;
-  // Sequence numbers up to 2^32 belong to setup roots (k + 1); ordinary
-  // schedulings count up from just above them.
-  static constexpr std::uint64_t kFirstRuntimeSeq = (std::uint64_t{1} << 32) + 1;
+  // Order-key layout (see the file comment): age:8 | tag:20 | counter:36.
+  static constexpr unsigned kCounterBits = 36;
+  static constexpr unsigned kAgeShift = 56;
+  static constexpr std::uint32_t kMaxAge = 255;
+  static constexpr std::uint32_t kTagLimit = 1u << 20;
+  // Keys up to 2^32 belong to setup roots (k + 1); the setup context's own
+  // counter starts just above them.
+  static constexpr std::uint64_t kFirstSetupCounter =
+      (std::uint64_t{1} << 32) + 1;
+  // Slot indices stay below the list sentinels (kStaged, kNil).
+  static constexpr std::uint32_t kStaged = kNil - 1;
+  static constexpr std::uint32_t kMaxSlots = kStaged;
 
   enum class Kind : std::uint8_t {
     kRaw = 0,         // payload = RawPayload{ctx, arg}; nothing owned
@@ -389,18 +393,23 @@ class Simulator {
     delete static_cast<F*>(obj);
   }
 
+  // Aborts on an order key that does not fit its fields: age >= 2^8,
+  // counter >= 2^36 or node tag >= 2^20. Kept out of line and cold so the
+  // checks cost one compare on the scheduling path.
+  [[noreturn, gnu::cold, gnu::noinline]] static void key_overflow();
+
   // Cache-line sized and aligned: scheduling or firing an event touches
   // exactly one line of the slot arena.
   struct alignas(64) Slot {
     RawFn fn = nullptr;
     alignas(8) unsigned char payload[kInlinePayloadSize];
-    std::uint64_t seq = 0;   // scheduling order; breaks time ties (FIFO)
+    std::uint64_t key = 0;   // order key; breaks time ties. 0: not pending
     Time t = 0.0;            // event time; locates the calendar bucket
     std::uint32_t gen = 1;   // bumped on fire/cancel to kill old handles
     std::uint32_t next = kNil;  // intrusive bucket/staging-list links
-    std::uint32_t prev = kNil;  // (prev maintained for linked events only)
+    std::uint32_t prev = kNil;  // kStaged on the staging list
     Kind kind = Kind::kRaw;
-    bool staged = false;     // on the staging list, not yet in a bucket
+    std::uint32_t tag : 24 = 0;  // the node the event executes at
   };
   static_assert(sizeof(Slot) == 64);
 
@@ -422,7 +431,7 @@ class Simulator {
   }
 
   void retire_slot(std::uint32_t slot_index, Slot& s) {
-    s.seq = 0;
+    s.key = 0;
     bump_gen(s);
     free_slots_.push_back(slot_index);
   }
@@ -488,7 +497,7 @@ class Simulator {
   Time staged_lo_ = kTimeInfinity;
   Time staged_hi_ = -kTimeInfinity;
 
-  // Top cache: the first top_count_ entries of the global (t, seq) pending
+  // Top cache: the first top_count_ entries of the global (t, key) pending
   // order, sorted. The day scan that locates the next event visits every
   // event of that day anyway, so it captures the day's K smallest — provably
   // the K globally smallest, since later days hold strictly later times —
@@ -498,7 +507,7 @@ class Simulator {
   // never "no events".
   struct TopEntry {
     Time t;
-    std::uint64_t seq;
+    std::uint64_t key;
     std::uint32_t slot;
   };
   static constexpr std::uint32_t kTopCacheSize = 16;
@@ -538,29 +547,23 @@ class Simulator {
   std::uint64_t profile_peak_pending_ = 0;
   bool profiling_ = false;
 
-  // Same-time ties fall back to the FIFO seq sequentially, or to the
-  // partition-invariant lineage order when det mode is on (the slot indices
-  // locate the nodes). Time-distinct comparisons never touch the lineage.
-  bool entry_before(Time t, std::uint64_t seq, std::uint32_t slot,
-                    const TopEntry& e) const {
-    if (t != e.t) return t < e.t;
-    if (!det_) return seq < e.seq;
-    return lineage_->less(det_nodes_[slot], det_nodes_[e.slot]);
+  static bool entry_before(Time t, std::uint64_t key, const TopEntry& e) {
+    return t != e.t ? t < e.t : key < e.key;
   }
-  // Inserts into the sorted cache if (t, seq) beats the tail (or there is
+  // Inserts into the sorted cache if (t, key) beats the tail (or there is
   // room to grow the prefix during a scan); drops the overflow.
-  void top_insert(Time t, std::uint64_t seq, std::uint32_t slot) {
+  void top_insert(Time t, std::uint64_t key, std::uint32_t slot) {
     std::uint32_t n = top_count_;
     if (n == kTopCacheSize) {
-      if (!entry_before(t, seq, slot, top_cache_[n - 1])) return;
+      if (!entry_before(t, key, top_cache_[n - 1])) return;
       --n;  // tail falls out
     }
     std::uint32_t i = n;
-    while (i > 0 && entry_before(t, seq, slot, top_cache_[i - 1])) {
+    while (i > 0 && entry_before(t, key, top_cache_[i - 1])) {
       top_cache_[i] = top_cache_[i - 1];
       --i;
     }
-    top_cache_[i] = TopEntry{t, seq, slot};
+    top_cache_[i] = TopEntry{t, key, slot};
     top_count_ = n + 1;
   }
 
@@ -576,23 +579,54 @@ class Simulator {
       return slot;
     }
     const std::uint32_t slot = num_slots_++;
-    PASE_DCHECK(slot != kNil && "pending-event slot space exhausted");
+    PASE_CHECK(slot < kMaxSlots && "pending-event slot space exhausted");
     if ((slot >> kSlotChunkShift) >= slot_chunks_.size()) {
       slot_chunks_.push_back(std::make_unique<Slot[]>(kSlotChunkSize));
     }
     return slot;
   }
 
-  EventId commit_slot(std::uint32_t slot, Time t) {
+  // Places a closure in the slot's payload (see the file comment).
+  template <typename Fn>
+  void emplace_closure(Slot& s, Fn&& fn) {
+    using F = std::decay_t<Fn>;
+    static_assert(std::is_invocable_v<F&>, "event callbacks take no args");
+    if constexpr (kInlineEligible<F>) {
+      ::new (static_cast<void*>(s.payload)) F(std::forward<Fn>(fn));
+      s.fn = &invoke_inline_closure<F>;
+      s.kind = Kind::kInlineClosure;
+    } else {
+      HeapPayload hp{new F(std::forward<Fn>(fn)), &destroy_heap_closure<F>};
+      std::memcpy(s.payload, &hp, sizeof(hp));
+      s.fn = &invoke_heap_closure<F>;
+      s.kind = Kind::kHeapClosure;
+      ++heap_closure_events_;
+    }
+  }
+
+  EventId schedule_keyed(Time t, std::uint64_t key, std::uint32_t tag,
+                         RawFn fn, void* ctx, void* arg) {
+    PASE_DCHECK(t >= now_ && "cannot schedule in the past");
+    PASE_DCHECK(fn != nullptr);
+    const std::uint32_t slot = acquire_slot();
     Slot& s = slot_at(slot);
-    s.seq = next_seq_++;
+    s.fn = fn;
+    const RawPayload rp{ctx, arg};
+    std::memcpy(s.payload, &rp, sizeof(rp));
+    s.kind = Kind::kRaw;
+    return commit_slot(slot, t, key, tag);
+  }
+
+  EventId commit_slot(std::uint32_t slot, Time t, std::uint64_t key,
+                      std::uint32_t tag) {
+    Slot& s = slot_at(slot);
+    s.key = key;
     s.t = t;
-    if (det_) [[unlikely]] record_det_node(slot);
+    s.tag = tag;
     // Steady state: link straight into the calendar — everything lands on the
     // slot line just written plus one bucket head, and the memo update inside
     // link() usually keeps the next pop O(1).
     if (staged_list_ == kNil && finite_entries_ + inf_count_ > 0) {
-      s.staged = false;
       link(slot, s);
       maybe_grow();
       return EventId{slot, s.gen};
@@ -601,7 +635,7 @@ class Simulator {
     // so the whole burst is distributed — and the calendar sized and its
     // bucket width derived for it in one pass — when the next event is
     // actually needed (see flush_staged).
-    s.staged = true;
+    s.prev = kStaged;
     s.next = staged_list_;
     staged_list_ = slot;
     ++staged_count_;
@@ -611,28 +645,6 @@ class Simulator {
       staged_hi_ = std::max(staged_hi_, t);
     }
     return EventId{slot, s.gen};
-  }
-
-  // Interns the lineage node of a freshly committed event from the execution
-  // context: scheduled now, by the event currently firing, as its next child.
-  // An injected event instead adopts the node carried from its source domain
-  // (set by schedule_injected) — and it must be in place here, before link()
-  // runs top-cache comparisons against it.
-  void record_det_node(std::uint32_t slot) {
-    if (slot >= det_nodes_.size()) {
-      det_nodes_.resize(slot_chunks_.size() << kSlotChunkShift);
-    }
-    if (injected_node_ != DetLineage::kNull) {
-      det_nodes_[slot] = injected_node_;
-      injected_node_ = DetLineage::kNull;
-    } else {
-      // Setup-context schedulings (before the first event, or through
-      // schedule_setup_at) have no parent: they are roots at sigma 0
-      // ("before all execution"), numbered by the setup index.
-      const Time sigma = cur_node_ == DetLineage::kNull ? 0.0 : now_;
-      det_nodes_[slot] = lineage_->add(static_cast<int>(domain_id_), sigma,
-                                       cur_node_, cur_k_++);
-    }
   }
 
   void link(std::uint32_t slot_index, Slot& s) {
@@ -649,18 +661,17 @@ class Simulator {
       ++finite_entries_;
     }
     if (top_count_ > 0 &&
-        entry_before(s.t, s.seq, slot_index, top_cache_[top_count_ - 1])) {
+        entry_before(s.t, s.key, top_cache_[top_count_ - 1])) {
       // The new event lands inside the cached prefix; insert it (dropping the
       // overflow — still a valid, shorter prefix). Events past the cached tail
       // must be skipped, not appended: pending events outside the cache may
       // sort between the tail and the newcomer. If the newcomer preempts the
       // cached top, rewind the calendar cursor so the next walk starts no
       // later than its day.
-      if (entry_before(s.t, s.seq, slot_index, top_cache_[0]) &&
-          day < cur_day_) {
+      if (entry_before(s.t, s.key, top_cache_[0]) && day < cur_day_) {
         cur_day_ = day;
       }
-      top_insert(s.t, s.seq, slot_index);
+      top_insert(s.t, s.key, slot_index);
     }
   }
 
@@ -677,19 +688,33 @@ class Simulator {
   std::uint32_t num_slots_ = 0;
   std::vector<std::uint32_t> free_slots_;
 
-  // Parallel-mode ordering state (see the det section above). det_nodes_ is
-  // a slot-indexed side table so the 64-byte Slot stays untouched; it is
-  // only consulted on exact time ties.
-  std::vector<DetLineage::NodeId> det_nodes_;
-  DetLineage* lineage_ = nullptr;
-  DetLineage::NodeId cur_node_ = DetLineage::kNull;  // executing event's node
-  DetLineage::NodeId injected_node_ = DetLineage::kNull;  // pending adoption
-  std::uint32_t cur_k_ = 0;  // its next child index
-  std::uint32_t domain_id_ = 0;
-  bool det_ = false;
+  // Makes the dispatched event (key `key`, executing at `tag`) the context
+  // every scheduling call draws keys from.
+  void enter_event(std::uint64_t key, std::uint32_t tag) {
+    if (tag >= node_keys_.size()) [[unlikely]] grow_node_keys(tag);
+    cur_key_ = key;
+    cur_tag_ = tag;
+    counter_ = &node_keys_[tag];
+    counter_limit_ = std::uint64_t{tag + 1} << kCounterBits;
+    child_age_ = static_cast<std::uint32_t>(key >> kAgeShift) + 1;
+  }
+  void enter_setup_context();
+  void grow_node_keys(std::uint32_t tag);
+  // Runs the next event if it is due by `until` (step() without returning
+  // to the setup context).
+  bool dispatch(Time until);
+
+  // Order-key state. node_keys_[tag] is that node's next key without its
+  // age (tag << 36 | counter); it grows to the largest tag this simulator
+  // executes, so the domains of a partitioned run share no table.
+  std::vector<std::uint64_t> node_keys_;
+  std::uint64_t* counter_ = nullptr;  // &node_keys_[cur_tag_]
+  std::uint64_t counter_limit_ = 0;   // (cur_tag_ + 1) << 36
+  std::uint64_t cur_key_ = 0;         // executing event's key
+  std::uint32_t cur_tag_ = 0;         // node it executes at
+  std::uint32_t child_age_ = 0;       // age of its same-instant children
 
   Time now_ = 0.0;
-  std::uint64_t next_seq_ = kFirstRuntimeSeq;
   std::uint64_t executed_ = 0;
   std::uint64_t last_rebuild_exec_ = 0;  // rebuild cooldown (see locate_top)
   std::uint64_t heap_closure_events_ = 0;
@@ -707,28 +732,5 @@ class Simulator {
   DisposerEntry disposers_[kMaxDisposers] = {};
   std::uint32_t num_disposers_ = 0;
 };
-
-inline EventId Simulator::schedule_raw_at(Time t, RawFn fn, void* ctx, void* arg) {
-  PASE_DCHECK(t >= now_ && "cannot schedule in the past");
-  PASE_DCHECK(fn != nullptr);
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slot_at(slot);
-  s.fn = fn;
-  const RawPayload rp{ctx, arg};
-  std::memcpy(s.payload, &rp, sizeof(rp));
-  s.kind = Kind::kRaw;
-  return commit_slot(slot, t);
-}
-
-inline EventId Simulator::schedule_injected(Time t, DetLineage::NodeId node,
-                                            RawFn fn, void* ctx, void* arg) {
-  PASE_DCHECK(det_ && "schedule_injected requires det mode");
-  PASE_DCHECK(node != DetLineage::kNull);
-  // Ordering uses the carried node, interned when the source domain posted
-  // the event; record_det_node adopts it during commit so every comparison
-  // made while linking already sees the right key.
-  injected_node_ = node;
-  return schedule_raw_at(t, fn, ctx, arg);
-}
 
 }  // namespace pase::sim

@@ -447,8 +447,8 @@ sim::Time probe_bound(const DomainProbe& dp, sim::Time nt,
 // its transmitting node's domain and cut links post their deliveries through
 // the engine's mailboxes. A sequential run is the one-domain case —
 // workers == 1, a profile that is not parallel-safe, or an unusable
-// partition — which the engine runs on the caller's thread without det mode,
-// threads or barriers.
+// partition — which the engine runs on the caller's thread without threads
+// or barriers.
 //
 // Flows exist in three forms over their life:
 //   pending  — a compact descriptor in `flows_`; no endpoints, no demux
@@ -466,13 +466,14 @@ sim::Time probe_bound(const DomainProbe& dp, sim::Time nt,
 // Launches. At each chunk barrier the flows that start inside the chunk are
 // staged on their source's domain, in start order (stable on flow index).
 // A domain has at most one pending launch event: a setup root with
-// k = setup_base + flow index, which starts one flow and re-arms for the
-// domain's next staged flow. Setup roots fire at their instant before
-// anything an executing event scheduled, and among themselves by k, so the
-// launches keep the order of a driver that schedules every launch before the
-// run, whichever domain, barrier or event schedules them. One pending launch
-// per domain keeps far-future launches out of the calendar, so the slot
-// arena is sized by in-flight events, not by workload length.
+// k = setup_base + flow index, executing at the flow's source host, which
+// starts one flow and re-arms for the domain's next staged flow. Setup
+// roots fire at their instant before anything an executing event
+// scheduled, and among themselves by k, so the launches keep the order of
+// a driver that schedules every launch before the run, whichever domain,
+// barrier or event schedules them. One pending launch per domain keeps
+// far-future launches out of the calendar, so the slot arena is sized by
+// in-flight events, not by workload length.
 //
 // Where a flow materializes and completes depends on the domain count:
 //   one domain — the launch event materializes the flow, and the endpoints'
@@ -480,9 +481,10 @@ sim::Time probe_bound(const DomainProbe& dp, sim::Time nt,
 //   several    — flows materialize at the barrier (construction and demux
 //                registration are passive for every parallel-safe profile,
 //                and must not race other domains), and completion callbacks
-//                append {lineage node, outcome} reports to their domain's
-//                list, which every round barrier applies in lineage order —
-//                the order one domain applies them in.
+//                append reports, stamped with the reporting event's time and
+//                order key, to their domain's list; after each run_until the
+//                lists are merged and applied in (time, key) order — the
+//                order one domain applies them in.
 // The same materialize() and complete() do the work either way. Slot
 // retirement and recycling run only at barriers, with every domain quiescent.
 
@@ -506,7 +508,8 @@ struct DomainState {
     std::uint32_t slot;  // several domains: materialized at the barrier
   };
   struct Report {
-    sim::DetLineage::NodeId node;
+    sim::Time at;       // the reporting event's time
+    std::uint64_t key;  // and order key
     sim::Time time;
     std::uint32_t slot;
     Outcome outcome;
@@ -548,12 +551,13 @@ class Run {
   Run(const ScenarioConfig& cfg, const proto::TransportProfile& profile,
       std::vector<transport::Flow> flows);
   ScenarioResult execute();
-  // Applies one completion report (see DomainState).
+  // One domain materializes flows at launch and applies completion reports
+  // at once; several, at the barrier (see DomainState).
+  bool one_domain() const { return engine_.num_domains() == 1; }
+  // Applies one completion report.
   void complete(std::uint32_t s, Outcome outcome, sim::Time time);
 
  private:
-  // One domain materializes flows at launch; several, at the barrier.
-  bool one_domain() const { return engine_.num_domains() == 1; }
   int domain_of(net::NodeId id) const { return part_.domain_of_node(id); }
   sim::Simulator& domain_sim(net::NodeId id) {
     return engine_.domain(domain_of(id));
@@ -614,14 +618,14 @@ class Run {
   std::uint64_t probes_sent_ = 0;
 };
 
-// One domain applies a report at once; with several (det mode) it waits for
-// the next round barrier with the lineage node that orders it.
+// One domain applies a report at once; with several it waits for the end
+// of the run_until, with the time and key that order it.
 void DomainState::report(std::uint32_t slot, Outcome outcome,
                          sim::Time time) {
-  if (sim->det_enabled()) {
-    deferred.push_back({sim->make_post_node(), time, slot, outcome});
-  } else {
+  if (run->one_domain()) {
     run->complete(slot, outcome, time);
+  } else {
+    deferred.push_back({sim->now(), sim->current_key(), time, slot, outcome});
   }
 }
 
@@ -708,12 +712,9 @@ Run::Run(const ScenarioConfig& cfg, const proto::TransportProfile& profile,
   for (int d = 0; d < n_dom; ++d) {
     domains_.push_back({this, &engine_.domain(d), {}, 0, {}});
   }
-  // Deferred reports are applied at every round barrier, so they never
-  // outlive a lineage compaction pass and their lists stay one round long.
-  engine_.set_round_hook([this] { apply_deferred(); });
 
   // One trace ring per domain, which the engine installs on whichever
-  // thread runs that domain. Lineage keys stamped on every record let the
+  // thread runs that domain. Order keys stamped on every record let the
   // rings merge back into sequential emission order.
   if (cfg.trace.enabled) {
     queue_names_ = obs::label_fabric_queues(topo);
@@ -806,6 +807,7 @@ std::uint32_t Run::materialize(std::uint32_t i) {
 void Run::arm(DomainState& ds) {
   const std::uint32_t i = ds.staged[ds.next].flow;
   ds.sim->schedule_setup_at(flows_[i].start_time, setup_base_ + i,
+                            static_cast<std::uint32_t>(flows_[i].src),
                             [this, d = &ds] { launch(*d); });
 }
 
@@ -856,9 +858,8 @@ void Run::complete(std::uint32_t s, Outcome outcome, sim::Time time) {
   }
 }
 
-// Applies the reports deferred since the last round barrier, in lineage
-// order: called by the engine's round leader (with every domain quiescent)
-// and after each run_until, for the reports of its final inclusive phase. A
+// Applies the reports deferred during a run_until, in the (time, key) order
+// of the events that made them; one event's reports keep their order. A
 // worker thread only touches the lists of the domains it runs, and the
 // barriers order those writes before this read.
 void Run::apply_deferred() {
@@ -867,12 +868,11 @@ void Run::apply_deferred() {
     merged_.insert(merged_.end(), ds.deferred.begin(), ds.deferred.end());
     ds.deferred.clear();
   }
-  const sim::DetLineage& lineage = engine_.lineage();
-  std::sort(merged_.begin(), merged_.end(),
-            [&lineage](const DomainState::Report& a,
-                       const DomainState::Report& b) {
-              return lineage.less(a.node, b.node);
-            });
+  std::stable_sort(merged_.begin(), merged_.end(),
+                   [](const DomainState::Report& a,
+                      const DomainState::Report& b) {
+                     return a.at != b.at ? a.at < b.at : a.key < b.key;
+                   });
   for (const DomainState::Report& r : merged_) {
     complete(r.slot, r.outcome, r.time);
   }
@@ -976,8 +976,6 @@ ScenarioResult Run::execute() {
 
 void Run::fold_metrics(ScenarioResult& result) {
   const int n_dom = engine_.num_domains();
-  // Passes made while the run was going, not the trace-sealing one below.
-  const std::uint64_t compactions = engine_.lineage().compactions();
   if (!tbufs_.empty()) {
     for (int d = 0; d < n_dom; ++d) {
       tbufs_[static_cast<std::size_t>(d)]->emit_at(
@@ -986,9 +984,6 @@ void Run::fold_metrics(ScenarioResult& result) {
           static_cast<double>(engine_.domain(d).heap_closure_events()),
           static_cast<std::uint32_t>(d));
     }
-    // Records since the last pass still carry lineage ids; one more pass
-    // turns them into integer merge keys.
-    if (n_dom > 1) engine_.compact();
     std::vector<const obs::TraceBuffer*> ptrs;
     for (const auto& b : tbufs_) ptrs.push_back(b.get());
     auto trace = std::make_shared<obs::Trace>(obs::merge_buffers(ptrs));
@@ -1019,8 +1014,6 @@ void Run::fold_metrics(ScenarioResult& result) {
     reg.counter("parallel.drains") = engine_.drains_executed();
     reg.counter("parallel.quiet_rounds") = engine_.quiet_rounds();
     reg.gauge("parallel.horizon_width_mean") = engine_.mean_horizon_width();
-    reg.counter("parallel.lineage_compactions") = compactions;
-    reg.counter("mem.lineage_peak_bytes") = engine_.lineage().chunk_bytes();
   }
   if (result.telemetry) {
     reg.counter("telemetry.samples") = result.telemetry->samples;

@@ -287,10 +287,14 @@ ScenarioResult run_scenario_with_flows(ScenarioConfig cfg,
   }
 
   // Schedule flow launches.
-  for (const auto& f : flows) {
-    run.sim.schedule_at(f.start_time, [&run, &cfg, f, base_rtt] {
-      launch_flow(run, cfg, f, base_rtt);
-    });
+  const std::uint32_t setup_base = run.plane ? run.plane->setup_events() : 0;
+  for (std::uint32_t i = 0; i < flows.size(); ++i) {
+    const transport::Flow& f = flows[i];
+    run.sim.schedule_setup_at(f.start_time, setup_base + i,
+                              static_cast<std::uint32_t>(f.src),
+                              [&run, &cfg, f, base_rtt] {
+                                launch_flow(run, cfg, f, base_rtt);
+                              });
   }
 
   // Run until every short flow completes (or the hard cap).

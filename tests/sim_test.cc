@@ -11,6 +11,18 @@
 #include "sim/timer.h"
 
 namespace pase::sim {
+
+// Reaches the limits of the order key and the slot space without
+// exhausting memory (a friend of Simulator).
+struct SimulatorTestPeer {
+  static void set_setup_counter(Simulator& s, std::uint64_t counter) {
+    s.node_keys_[0] = counter;
+  }
+  static void exhaust_slots(Simulator& s) {
+    s.num_slots_ = Simulator::kMaxSlots;
+  }
+};
+
 namespace {
 
 TEST(Simulator, StartsAtTimeZero) {
@@ -74,10 +86,10 @@ std::vector<int> setup_root_order(Simulator& s) {
   });
   s.schedule_at(2e-3, [&] {
     order.push_back(1);
-    s.schedule_setup_at(3e-3, 9, [&] { order.push_back(4); });
-    s.schedule_setup_at(3e-3, 4, [&] { order.push_back(3); });
+    s.schedule_setup_at(3e-3, 9, 0, [&] { order.push_back(4); });
+    s.schedule_setup_at(3e-3, 4, 0, [&] { order.push_back(3); });
   });
-  s.schedule_setup_at(3e-3, 11, [&] { order.push_back(5); });
+  s.schedule_setup_at(3e-3, 11, 0, [&] { order.push_back(5); });
   s.run();
   return order;
 }
@@ -88,11 +100,106 @@ TEST(Simulator, SetupRootsPrecedeScheduledEventsAndSortByIndex) {
   EXPECT_EQ(s.heap_closure_events(), 0u);
 }
 
-TEST(Simulator, SetupRootsKeepTheirOrderInDetMode) {
-  DetLineage lineage(1);
+// --- The order key ---------------------------------------------------------
+// Network node n executes with tag n + 1; the key is age:8 | tag:20 |
+// counter:36 (sim/simulator.h).
+
+// A (a root at node 3) and B (scheduled earlier by node 9) both fire at
+// 1 ms with age 0. A's zero-delay child C carries node 3's tag, lower than
+// B's, yet runs after B because its age is 1: a child never sorts before
+// an event that was already due at its parent's instant. Without the age
+// field C would run before B.
+TEST(SimulatorOrderKey, ZeroDelayChildRunsAfterEveryAgeZeroEventAtItsInstant) {
   Simulator s;
-  s.enable_det(0, &lineage);
-  EXPECT_EQ(setup_root_order(s), (std::vector<int>{0, 1, 3, 4, 5, 6}));
+  std::vector<char> order;
+  s.schedule_setup_at(0.5e-3, 0, 9, [&] {
+    s.schedule_at(1e-3, [&] { order.push_back('B'); });
+  });
+  s.schedule_setup_at(1e-3, 1, 3, [&] {
+    order.push_back('A');
+    s.schedule(0.0, [&] { order.push_back('C'); });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'C'}));
+}
+
+// Three events for 3 ms, scheduled by node 6 ('1'), node 2 ('Y') and node
+// 6 again ('2'), in that order. Same-instant events from one node fire in
+// scheduling order, and from two nodes in tag order whatever the
+// scheduling order — not in the global scheduling (FIFO) order 1, Y, 2.
+TEST(SimulatorOrderKey, SameInstantEventsOrderByNodeThenSchedulingOrder) {
+  Simulator s;
+  std::vector<char> order;
+  s.schedule_setup_at(1e-3, 0, 6, [&] {
+    s.schedule_at(3e-3, [&] { order.push_back('1'); });
+  });
+  s.schedule_setup_at(1.5e-3, 1, 2, [&] {
+    s.schedule_at(3e-3, [&] { order.push_back('Y'); });
+  });
+  s.schedule_setup_at(2e-3, 2, 6, [&] {
+    s.schedule_at(3e-3, [&] { order.push_back('2'); });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<char>{'Y', '1', '2'}));
+}
+
+// A chain of same-instant events: each schedules the next with zero delay
+// while `left` lasts, so the i-th descendant has age i.
+struct SameInstantChain {
+  Simulator* sim;
+  int left;
+  int ran = 0;
+};
+void chain_step(void* ctx, void* /*arg*/) {
+  auto* c = static_cast<SameInstantChain*>(ctx);
+  ++c->ran;
+  if (c->left-- > 0) c->sim->schedule_raw(0.0, &chain_step, c);
+}
+
+// Runs a chain with `descendants` same-instant events after its head;
+// returns the events that ran.
+int run_same_instant_chain(int descendants) {
+  Simulator s;
+  SameInstantChain c{&s, descendants};
+  s.schedule_raw(1e-3, &chain_step, &c);
+  s.run();
+  return c.ran;
+}
+
+TEST(SimulatorOrderKey, ChainOf255SameInstantEventsRuns) {
+  EXPECT_EQ(run_same_instant_chain(255), 256);  // the age-0 head and 255
+}
+
+TEST(SimulatorDeathTest, The256thSameInstantEventAborts) {
+  EXPECT_DEATH(run_same_instant_chain(256), "order key overflow");
+}
+
+TEST(SimulatorDeathTest, CounterPastItsFieldAborts) {
+  EXPECT_DEATH(
+      {
+        Simulator s;
+        SimulatorTestPeer::set_setup_counter(s, (std::uint64_t{1} << 36) - 1);
+        s.schedule(1e-3, [] {});  // the counter's last value
+        s.schedule(1e-3, [] {});
+      },
+      "order key overflow");
+}
+
+TEST(SimulatorDeathTest, NodeTagPastItsFieldAborts) {
+  Simulator s;
+  s.schedule_setup_at(1e-3, 0, (1u << 20) - 2, [] {});  // tag 2^20 - 1
+  EXPECT_DEATH(s.schedule_setup_at(1e-3, 1, (1u << 20) - 1, [] {}),
+               "order key overflow");
+}
+
+TEST(SimulatorDeathTest, SlotSpaceExhaustionAborts) {
+  EXPECT_DEATH(
+      {
+        Simulator s;
+        SimulatorTestPeer::exhaust_slots(s);
+        s.schedule(1e-3, [] {});
+      },
+      "slot space exhausted");
 }
 
 TEST(Simulator, RunUntilStopsAtBound) {
