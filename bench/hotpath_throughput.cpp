@@ -5,12 +5,8 @@
 // This is the repo's perf trajectory for the steady-state packet path
 // (event dispatch, link hop, queue discipline, host demux): the workload is
 // deterministic per config, so packets/sec moves only when the engine does.
-// Results are written to BENCH_hotpath.json together with the recorded
-// pre-change baseline (captured on the reference dev machine with
-// tools/record_hotpath_goldens-era sources), so every run reports its
-// speedup against the same yardstick. Wall-clock numbers are machine
-// dependent; the speedup column is only meaningful on comparable hardware,
-// the packets/sec trend on the same machine is the series to track (see
+// Results are written to BENCH_hotpath.json. Wall-clock numbers are machine
+// dependent: compare packets/sec only between runs on the same machine (see
 // EXPERIMENTS.md).
 //
 // Flags:
@@ -18,7 +14,7 @@
 //   --reps=N         timing repetitions per case (default 3; best-of-N)
 //   --protocols=a,b  protocol subset (default: all six)
 //   --workers=N      run every case with N parallel domains (labels gain a
-//                    "-wN" suffix; baselines resolve to the sequential entry)
+//                    "-wN" suffix)
 //   --trace=<path>   after the timing loop, rerun the first case once with
 //                    tracing enabled and write the merged trace (JSONL, or
 //                    Chrome trace_event when the path ends ".chrome.json");
@@ -29,8 +25,8 @@
 // Full mode additionally records a workers ∈ {1,2,4,8} scaling series for
 // the large three-tier web-search scenario (the "dctcp/three-tier" case is
 // the 1-worker reference; "-w2/-w4/-w8" rows rerun it with that many
-// domains). Speedups are against the same sequential baseline, so the series
-// reads directly as parallel scaling — on a single-core machine expect <= 1x.
+// domains), so the series reads as parallel scaling against the 1-worker
+// row of the same run — on a single-core machine expect no gain.
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -55,43 +51,6 @@ struct Case {
   std::string workload;   // human-readable description
   ScenarioConfig config;
 };
-
-// Baseline packets/sec recorded on the pre-change tree (commit d98677b,
-// std::function event dispatch, unordered_map host demux), best of 3, same
-// configs as below. Quick-mode cases are keyed with a "-quick" suffix.
-struct Baseline {
-  const char* label;
-  double packets_per_sec;
-};
-constexpr Baseline kBaseline[] = {
-    {"dctcp/single-rack", 716404},   {"dctcp/three-tier", 325327},
-    {"d2tcp/single-rack", 716696},   {"d2tcp/three-tier", 321023},
-    {"l2dct/single-rack", 781483},   {"l2dct/three-tier", 266765},
-    {"pdq/single-rack", 623241},     {"pdq/three-tier", 276070},
-    {"pfabric/single-rack", 558266}, {"pfabric/three-tier", 341057},
-    {"pase/single-rack", 558229},    {"pase/three-tier", 238904},
-    {"dctcp/single-rack-quick", 817474},   {"dctcp/three-tier-quick", 372930},
-    {"d2tcp/single-rack-quick", 913986},   {"d2tcp/three-tier-quick", 359656},
-    {"l2dct/single-rack-quick", 917203},   {"l2dct/three-tier-quick", 358933},
-    {"pdq/single-rack-quick", 804611},     {"pdq/three-tier-quick", 338028},
-    {"pfabric/single-rack-quick", 667197}, {"pfabric/three-tier-quick", 330930},
-    {"pase/single-rack-quick", 738537},    {"pase/three-tier-quick", 332213},
-};
-
-double baseline_for(const std::string& label) {
-  // Parallel rows ("...-wN") share the sequential entry: the PR 3 baselines
-  // are the 1-worker reference for the whole workers series.
-  std::string key = label;
-  const std::size_t w = key.rfind("-w");
-  if (w != std::string::npos &&
-      key.find_first_not_of("0123456789", w + 2) == std::string::npos) {
-    key.erase(w);
-  }
-  for (const auto& b : kBaseline) {
-    if (key == b.label) return b.packets_per_sec;
-  }
-  return 0.0;
-}
 
 std::string lower_name(Protocol p) {
   std::string s = workload::protocol_name(p);
@@ -216,8 +175,8 @@ int main(int argc, char** argv) {
 
   std::printf("hot-path throughput (%s, best of %d)\n",
               quick ? "quick" : "full", reps);
-  std::printf("%-26s %12s %10s %14s %10s\n", "case", "sim pkts", "wall(s)",
-              "pkts/sec", "speedup");
+  std::printf("%-26s %12s %10s %14s\n", "case", "sim pkts", "wall(s)",
+              "pkts/sec");
 
   std::string json = "{\n  \"bench\": \"hotpath\",\n  \"mode\": \"";
   json += quick ? "quick" : "full";
@@ -226,12 +185,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const Case& c = cases[i];
     const Measurement m = measure(c.config, reps);
-    const double base = baseline_for(c.label);
-    const double speedup = base > 0.0 ? m.packets_per_sec / base : 0.0;
-
-    std::printf("%-26s %12llu %10.3f %14.0f %9.2fx\n", c.label.c_str(),
+    std::printf("%-26s %12llu %10.3f %14.0f\n", c.label.c_str(),
                 static_cast<unsigned long long>(m.sim_packets),
-                m.wall_sec_best, m.packets_per_sec, speedup);
+                m.wall_sec_best, m.packets_per_sec);
     std::fflush(stdout);
 
     char row[512];
@@ -241,13 +197,12 @@ int main(int argc, char** argv) {
         "     \"workload\": \"%s\",\n"
         "     \"workers\": %d, \"workers_used\": %d,\n"
         "     \"sim_packets\": %llu, \"wall_sec_best\": %.6f,\n"
-        "     \"packets_per_sec\": %.1f, \"baseline_packets_per_sec\": %.1f,\n"
-        "     \"speedup_vs_baseline\": %.4f}%s\n",
+        "     \"packets_per_sec\": %.1f}%s\n",
         c.label.c_str(),
         workload::protocol_name(c.config.protocol), c.topology.c_str(),
         c.workload.c_str(), c.config.workers, m.workers_used,
         static_cast<unsigned long long>(m.sim_packets),
-        m.wall_sec_best, m.packets_per_sec, base, speedup,
+        m.wall_sec_best, m.packets_per_sec,
         i + 1 < cases.size() ? "," : "");
     json += row;
   }

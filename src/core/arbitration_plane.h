@@ -110,11 +110,6 @@ class ArbitrationPlane {
   std::uint32_t setup_events() const {
     return static_cast<std::uint32_t>(delegation_tors_.size());
   }
-  // Nodes at which the plane spontaneously schedules calendar events (the
-  // delegation-timer ToRs); input to the engine's conditional-horizon probe.
-  void append_timer_nodes(std::vector<net::NodeId>& out) const {
-    out.insert(out.end(), delegation_tors_.begin(), delegation_tors_.end());
-  }
 
   // --- sender side -----------------------------------------------------------
   // Registers the flow and performs the first (host-local) arbitration pass.

@@ -34,14 +34,9 @@ void Link::on_tx_done(void* self, void* packet) {
   // drawn locally.
   const sim::Time deliver_t = link->sim_->now() + link->delay_;
   if (link->cross_ == nullptr) [[likely]] {
-    if (link->activity_armed_) [[unlikely]] ++link->inflight_;
     link->sim_->schedule_raw_at_node(deliver_t, link->dst_node_,
                                      &Link::on_deliver, link, packet);
   } else {
-    // Increment before the post: the engine's quiet-round check sees the
-    // post, so a probe can only consult cross_inflight_ after this write is
-    // visible (or after a drain round republished it).
-    link->cross_inflight_.fetch_add(1, std::memory_order_relaxed);
     link->cross_->post(link->cross_src_, link->cross_dst_, deliver_t,
                        link->dst_node_, &Link::on_deliver, link, packet);
   }
@@ -66,13 +61,8 @@ void Link::free_packet(void* packet) {
 }
 
 void Link::on_deliver(void* self, void* packet) {
-  auto* link = static_cast<Link*>(self);
-  if (link->cross_ != nullptr) {
-    link->cross_inflight_.fetch_sub(1, std::memory_order_relaxed);
-  } else if (link->activity_armed_) [[unlikely]] {
-    --link->inflight_;
-  }
-  link->dst_->receive(PacketPtr(static_cast<Packet*>(packet)));
+  static_cast<Link*>(self)->dst_->receive(
+      PacketPtr(static_cast<Packet*>(packet)));
 }
 
 }  // namespace pase::net

@@ -4,7 +4,6 @@
 // sim/simulator.h), whose id the link caches at connect.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -76,27 +75,6 @@ class Link {
     cross_dst_ = dst_domain;
   }
 
-  // --- Conditional-lookahead activity probes (parallel runs only) ---------
-  // When armed, the link counts in-flight deliveries so the engine's horizon
-  // probe can tell whether any event chain is currently headed down this
-  // link. Sequential runs never arm and pay one predicted branch per hop.
-  void arm_activity_tracking() { activity_armed_ = true; }
-  // Local (intra-domain) link: a packet is serializing or propagating, so an
-  // event will fire at the destination node. Read only by the thread
-  // running the owning domain.
-  bool probe_local_active() const { return busy_ || inflight_ > 0; }
-  // Cut link, source-side view: a packet is serializing; its delivery will
-  // be posted at tx-done + prop_delay. Read only by the source domain.
-  bool probe_cut_busy() const { return busy_; }
-  // Cut link, destination-side view: a posted delivery has not executed yet
-  // (it sits in the destination calendar once mailboxes are drained). The
-  // relaxed read may miss an increment racing with the probe, but any such
-  // increment came from a post in the same window, which forces the engine
-  // to discard the probe and drain first — so staleness is conservative.
-  bool probe_cut_inflight() const {
-    return cross_inflight_.load(std::memory_order_relaxed) > 0;
-  }
-
  private:
   // Typed-event trampolines (sim::RawFn signature).
   static void on_tx_done(void* self, void* arg);
@@ -127,10 +105,11 @@ class Link {
 
   // Hot fields first (Link has no vtable, so these start at offset 0):
   // on_tx_done and on_deliver — the two per-hop events — read sim_, delay_,
-  // both endpoints, cross_, the activity flags, busy_ and the destination's
-  // id, all packed into the first cache line (tx-done names the delivery's
-  // node from dst_node_, so it never touches the destination node itself). The stats accumulators, cut-link plumbing and
-  // name trail on later lines; transmit touches them once per serialization.
+  // both endpoints, cross_, busy_ and the destination's id, all packed into
+  // the first 64 bytes (tx-done names the delivery's node from dst_node_,
+  // so it never touches the destination node itself). The stats
+  // accumulators, which transmit touches once per serialization, the
+  // cut-link plumbing and the name follow.
   sim::Simulator* sim_;
   double rate_bps_;
   sim::Time delay_;
@@ -138,19 +117,12 @@ class Link {
   Node* dst_ = nullptr;
   sim::ParallelEngine* cross_ = nullptr;  // non-null on cut links only
   bool busy_ = false;
-  // Activity tracking (see probe accessors above). `inflight_` is
-  // single-threaded (local links live entirely inside one domain);
-  // `cross_inflight_` is incremented by the source domain at post time and
-  // decremented by the destination domain when the delivery executes.
-  bool activity_armed_ = false;
-  int inflight_ = 0;
   std::uint32_t dst_node_ = 0;  // dst_->id()
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t packets_sent_ = 0;
   sim::Time busy_time_ = 0.0;
   int cross_src_ = 0;
   int cross_dst_ = 0;
-  std::atomic<int> cross_inflight_{0};
   std::string name_;
 };
 

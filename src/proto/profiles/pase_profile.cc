@@ -24,10 +24,6 @@ class PaseControlPlane final : public ControlPlane {
 
   std::uint32_t setup_events() const override { return plane.setup_events(); }
 
-  void append_timer_nodes(std::vector<net::NodeId>& out) const override {
-    plane.append_timer_nodes(out);
-  }
-
   core::ArbitrationPlane plane;
 };
 

@@ -21,7 +21,6 @@
 #include <new>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "core/control_stats.h"
 #include "proto/profile_params.h"
@@ -46,13 +45,6 @@ class ControlPlane {
   // flow launches past this count so setup roots stay globally unique and
   // partition-invariant.
   virtual std::uint32_t setup_events() const { return 0; }
-  // Appends the nodes at which the control plane spontaneously schedules
-  // timer events (as opposed to reacting to packet arrivals). The parallel
-  // engine's conditional-horizon probe must treat these nodes as potential
-  // event sources alongside the hosts.
-  virtual void append_timer_nodes(std::vector<net::NodeId>& out) const {
-    (void)out;
-  }
 };
 
 // Everything a profile may consult while wiring a run. `params` is the run's

@@ -111,10 +111,11 @@ void ParallelEngine::drain_inbox(int d) {
     if (s == d) continue;
     auto& box = mailbox(s, d);
     for (const CrossRecord& r : box) {
-      // A sound horizon keeps every delivery strictly ahead of the
-      // destination: the poster's published bound capped this domain's last
-      // window. Equality would already be an ordering hazard — this domain
-      // may have executed same-instant events that sort after the record.
+      // Every delivery lands at or after the horizon that capped this
+      // domain's last window (its poster ran at >= m, and every cut link
+      // delays by >= L), so strictly ahead of the destination. Equality
+      // would already be an ordering hazard — this domain may have executed
+      // same-instant events that sort after the record.
       PASE_CHECK(r.t > sd.now() && "cross delivery behind the horizon");
       sd.schedule_injected(r.t, r.key, r.tag, r.fn, r.ctx, r.arg);
     }
@@ -123,18 +124,7 @@ void ParallelEngine::drain_inbox(int d) {
 }
 
 void ParallelEngine::publish(int d) {
-  DomainPub& pub = pub_[static_cast<std::size_t>(d)];
-  const Time nt = domain(d).next_event_time();
-  pub.next_t = nt;
-  if (nt == kTimeInfinity) {
-    pub.bound = kTimeInfinity;
-  } else if (probe_) {
-    pub.bound = probe_(d, nt);
-    PASE_DCHECK(pub.bound >= nt + lookahead_ &&
-                "horizon probe returned less than the static bound");
-  } else {
-    pub.bound = nt + lookahead_;
-  }
+  pub_[static_cast<std::size_t>(d)].next_t = domain(d).next_event_time();
 }
 
 void ParallelEngine::decide() {
@@ -143,14 +133,13 @@ void ParallelEngine::decide() {
   // makes those writes visible here.
   ++rounds_;
   Time m = kTimeInfinity;
-  Time h = kTimeInfinity;
-  for (const DomainPub& p : pub_) {
-    m = std::min(m, p.next_t);
-    h = std::min(h, p.bound);
-  }
+  for (const DomainPub& p : pub_) m = std::min(m, p.next_t);
+  // Rounding is monotone, so a delivery posted at t >= m over a cut link
+  // of delay >= L lands at fl(t + delay) >= fl(m + L) = h.
+  const Time h = m + lookahead_;
   if (h > target_) {
     // Every remaining event <= target is safe: any delivery it generates
-    // lands at >= its domain's bound >= h > target, i.e. in a later chunk.
+    // lands at >= h > target, i.e. in a later chunk.
     round_ = Round::kFinish;
   } else {
     round_ = Round::kWindow;
@@ -169,7 +158,7 @@ void ParallelEngine::run_rounds(int w) {
         // Mailboxes were last written during a run phase sealed by the
         // barrier that ended it; after this drain the union of all calendars
         // is the complete global pending set, so the published minima are
-        // exact and the probe sees empty mailboxes.
+        // exact.
         for (int d = claim(w); d >= 0; d = claim(w)) {
           drain_inbox(d);
           publish(d);

@@ -4,15 +4,15 @@
 // smaller or equal number of worker threads. Every cross-domain interaction
 // is a Link delivery whose propagation delay is at least the partition
 // lookahead L, so the classic conservative-PDES window applies: with m = min
-// over domains of the next pending event time, every event in [m, H) can run
-// without hearing from any other domain, for any horizon H that no
-// cross-domain delivery can undercut. The engine runs three kinds of
-// barrier-separated rounds:
+// over domains of the next pending event time, no cross-domain delivery can
+// land before H = m + L, and every event in [m, H) can run without hearing
+// from any other domain. The engine runs three kinds of barrier-separated
+// rounds:
 //
 //   drain   — every domain empties its incoming mailboxes into its calendar
 //             (after which the union of calendars is the complete global
-//             pending set) and publishes {next event time, safe bound};
-//             the barrier leader picks H = min bound.
+//             pending set) and publishes its next event time; the barrier
+//             leader picks H = m + L.
 //   window  — every domain runs up to (exclusive) H, posting cross-domain
 //             deliveries into mailboxes. If nobody posted, the published
 //             values are still complete — the leader picks the next H at the
@@ -30,18 +30,10 @@
 // left to run. Each block's claim cursor is reset by the round leader inside
 // the barrier. With as many domains as workers nobody ever steals.
 //
-// The safe bound defaults to next_t + L (the static min-cut window). A
-// caller-installed horizon probe can widen it per domain per round to
-// next_t + D, where D is a certified lower bound on the delay before *this
-// round's actual pending work* can reach a cut link (conditional lookahead):
-// when the only pending events sit several store-and-forward hops from the
-// nearest cut, D spans those hops and one round swallows what the static
-// window would have split into many.
-//
 // Determinism: no decision depends on thread scheduling. The horizon is
-// computed by whichever thread arrives last from published per-domain
-// bounds. Events order by the fixed key of sim/simulator.h, which every
-// domain computes the same way a sequential run does; a mailbox record
+// computed by whichever thread arrives last from the published per-domain
+// next-event times. Events order by the fixed key of sim/simulator.h, which
+// every domain computes the same way a sequential run does; a mailbox record
 // carries the key its source domain drew for it, so an injected delivery
 // sorts against local events exactly where a local delivery would. Which
 // worker runs a domain never matters: a domain's event order depends only
@@ -52,9 +44,9 @@
 // per window. The only thread-local state a domain touches is the packet
 // pool (packets may migrate between pools, as they do across cut links) and
 // the tracer, which follows the domain: its trace ring is installed on the
-// claiming thread before the domain runs. The probe influences only *when*
+// claiming thread before the domain runs. The horizon decides only *when*
 // events run, never their order, so traces stay bit-identical across worker
-// counts and probe choices.
+// counts.
 //
 // One domain: the engine is then the sequential simulator. The domain runs
 // on the caller's thread — run_until is Simulator::run with the domain's
@@ -95,15 +87,6 @@ class ParallelEngine {
   // it must be positive and set before the first run_until.
   void set_lookahead(Time lookahead) { lookahead_ = lookahead; }
   Time lookahead() const { return lookahead_; }
-
-  // Conditional-lookahead hook. Called on domain d's own thread while every
-  // mailbox is empty (drain rounds and quiet windows); returns an absolute
-  // bound B >= next_t + lookahead() such that no event chain starting from
-  // d's pending work can deliver into another domain before B. Unset: the
-  // engine uses the static bound next_t + lookahead(). Never called with
-  // next_t == infinity.
-  using HorizonProbe = std::function<Time(int domain, Time next_t)>;
-  void set_horizon_probe(HorizonProbe probe) { probe_ = std::move(probe); }
 
   // Runs once on each worker thread before its first round (and once on the
   // caller's thread, worker 0, at the first run_until): thread-local warmup
@@ -151,9 +134,8 @@ class ParallelEngine {
   std::uint64_t drains_executed() const { return drains_; }
   // Windows after which no domain had posted: their drain was elided.
   std::uint64_t quiet_rounds() const { return quiet_rounds_; }
-  // Mean width (seconds) of the windows run so far; the static engine pins
-  // this at exactly lookahead() plus scheduling slack, the conditional probe
-  // widens it.
+  // Mean width H - m (seconds) of the windows run so far: lookahead(), up
+  // to rounding.
   double mean_horizon_width() const {
     return window_rounds_ == 0
                ? 0.0
@@ -181,7 +163,6 @@ class ParallelEngine {
   // domains never share a cache line.
   struct alignas(64) DomainPub {
     Time next_t = kTimeInfinity;  // next pending event time
-    Time bound = kTimeInfinity;   // earliest possible cross-domain delivery
     obs::TraceBuffer* trace = nullptr;  // the domain's trace ring, if any
   };
 
@@ -265,7 +246,6 @@ class ParallelEngine {
   std::vector<std::vector<CrossRecord>> mail_;  // [src * D + dst]
   std::vector<DomainPub> pub_;                  // published per round
   std::vector<Worker> workers_;
-  HorizonProbe probe_;
   Time lookahead_ = 0.0;
   Time now_ = 0.0;
 

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <limits>
+#include <cmath>
 #include <memory>
 #include <numeric>
-#include <queue>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "net/packet.h"
@@ -248,6 +246,22 @@ void validate_generic(const ScenarioConfig& cfg) {
   }
 }
 
+// An explicit flow list is outside input: a host index past the table
+// would be read unchecked, a zero-byte flow never finishes, and a start
+// time behind the clock cannot be scheduled. Null when the flow is sound.
+const char* flow_error(const transport::Flow& f, int num_hosts) {
+  const auto is_host = [num_hosts](net::NodeId h) {
+    return h >= 0 && h < num_hosts;
+  };
+  if (!is_host(f.src)) return "src is not a host index";
+  if (!is_host(f.dst)) return "dst is not a host index";
+  if (f.size_bytes == 0) return "size_bytes is zero";
+  if (!std::isfinite(f.start_time) || f.start_time < 0.0) {
+    return "start time is negative or not finite";
+  }
+  return nullptr;
+}
+
 stats::FlowRecord record_from(const transport::Flow& f) {
   stats::FlowRecord rec;
   rec.id = f.id;
@@ -256,188 +270,6 @@ stats::FlowRecord record_from(const transport::Flow& f) {
   rec.deadline = f.deadline;
   rec.background = f.background;
   return rec;
-}
-
-// --- Conditional-lookahead horizon probe -------------------------------------
-//
-// Per-domain data for ParallelEngine::set_horizon_probe. The engine needs,
-// each round, a certified lower bound D on the delay before the domain's
-// pending work can deliver into another domain; it then widens the window to
-// next_t + D instead of the static next_t + min-cut-propagation.
-//
-// The bound is a shortest-path argument. Every hop a packet takes costs at
-// least serialization of a 40-byte control packet plus the link's
-// propagation delay, so with
-//   dist[v] = min over outbound cut links j of (store-and-forward distance
-//             from node v to the cut's source, each hop weighted
-//             ser40 + prop, plus the cut's own ser40 + prop)
-// an event chain that starts at node v cannot post a cross-domain delivery
-// before next_t + dist[v] (computed by a multi-source Dijkstra over the
-// reversed intra-domain graph, seeded at the cut sources).
-//
-// Every pending event either (a) fires at a host or a control-plane timer
-// switch — covered by the static term event_dist = min dist over those
-// nodes — or (b) belongs to an in-flight packet on some link, covered by
-// three activity terms checked per round against the link probes:
-//   local link busy/in-flight  -> its delivery fires at dst, chain >= dist[dst]
-//   outbound cut link busy     -> its delivery posts after >= prop(cut)
-//   inbound cut delivery pending-> it fires at dst, chain >= dist[dst]
-// Entries that cannot undercut event_dist are pruned at build time and the
-// rest are scanned in ascending order, so a round's probe is a few loads.
-// The probe only ever runs while mailboxes are empty (the engine guarantees
-// it), which is what makes the activity probes complete.
-
-struct DomainProbe {
-  sim::Time event_dist = sim::kTimeInfinity;
-  // (link, certified delay), ascending by delay, pruned to < event_dist.
-  std::vector<std::pair<const net::Link*, sim::Time>> local;
-  std::vector<std::pair<const net::Link*, sim::Time>> out_cut;
-  std::vector<std::pair<const net::Link*, sim::Time>> in_cut;
-};
-
-std::vector<DomainProbe> build_horizon_probes(
-    topo::Topology& topo, const topo::Partition& part,
-    const proto::ControlPlane* control) {
-  struct Edge {
-    net::NodeId src;
-    net::NodeId dst;
-    const net::Link* link;
-  };
-  const auto weight = [](const net::Link* l) {
-    return l->serialization_delay(net::kControlPacketBytes) + l->prop_delay();
-  };
-
-  const std::size_t W = static_cast<std::size_t>(part.domains);
-  std::vector<std::vector<Edge>> intra(W), out_cut(W), in_cut(W);
-  const auto add_edge = [&](net::NodeId src, const net::Link& l) {
-    const Edge e{src, l.destination()->id(), &l};
-    const auto sd = static_cast<std::size_t>(part.domain_of_node(e.src));
-    const auto dd = static_cast<std::size_t>(part.domain_of_node(e.dst));
-    if (sd == dd) {
-      intra[sd].push_back(e);
-    } else {
-      out_cut[sd].push_back(e);
-      in_cut[dd].push_back(e);
-    }
-  };
-  for (const auto& h : topo.hosts()) add_edge(h->id(), h->uplink());
-  for (const auto& sw : topo.switches()) {
-    for (int p = 0; p < sw->num_ports(); ++p) {
-      add_edge(sw->id(), sw->port_link(p));
-    }
-  }
-
-  std::vector<net::NodeId> timer_nodes;
-  if (control != nullptr) control->append_timer_nodes(timer_nodes);
-
-  std::vector<DomainProbe> probes(W);
-  for (std::size_t d = 0; d < W; ++d) {
-    // Multi-source Dijkstra over the reversed intra-domain graph.
-    std::unordered_map<net::NodeId,
-                       std::vector<std::pair<net::NodeId, sim::Time>>>
-        rev;
-    for (const Edge& e : intra[d]) {
-      rev[e.dst].push_back({e.src, weight(e.link)});
-    }
-    std::unordered_map<net::NodeId, sim::Time> dist;
-    const auto dist_of = [&dist](net::NodeId v) {
-      const auto it = dist.find(v);
-      return it == dist.end() ? sim::kTimeInfinity : it->second;
-    };
-    using QE = std::pair<sim::Time, net::NodeId>;
-    std::priority_queue<QE, std::vector<QE>, std::greater<QE>> pq;
-    for (const Edge& e : out_cut[d]) {
-      const sim::Time seed = weight(e.link);
-      if (seed < dist_of(e.src)) {
-        dist[e.src] = seed;
-        pq.push({seed, e.src});
-      }
-    }
-    while (!pq.empty()) {
-      const auto [t, v] = pq.top();
-      pq.pop();
-      if (t > dist_of(v)) continue;
-      const auto it = rev.find(v);
-      if (it == rev.end()) continue;
-      for (const auto& [u, w] : it->second) {
-        if (t + w < dist_of(u)) {
-          dist[u] = t + w;
-          pq.push({t + w, u});
-        }
-      }
-    }
-
-    DomainProbe& dp = probes[d];
-    for (const auto& h : topo.hosts()) {
-      if (static_cast<std::size_t>(part.domain_of_node(h->id())) == d) {
-        dp.event_dist = std::min(dp.event_dist, dist_of(h->id()));
-      }
-    }
-    for (const net::NodeId n : timer_nodes) {
-      if (static_cast<std::size_t>(part.domain_of_node(n)) == d) {
-        dp.event_dist = std::min(dp.event_dist, dist_of(n));
-      }
-    }
-    for (const Edge& e : intra[d]) {
-      const sim::Time t = dist_of(e.dst);
-      if (t < dp.event_dist) dp.local.push_back({e.link, t});
-    }
-    for (const Edge& e : out_cut[d]) {
-      const sim::Time t = e.link->prop_delay();
-      if (t < dp.event_dist) dp.out_cut.push_back({e.link, t});
-    }
-    for (const Edge& e : in_cut[d]) {
-      const sim::Time t = dist_of(e.dst);
-      if (t < dp.event_dist) dp.in_cut.push_back({e.link, t});
-    }
-    const auto by_delay = [](const auto& a, const auto& b) {
-      return a.second < b.second;
-    };
-    std::sort(dp.local.begin(), dp.local.end(), by_delay);
-    std::sort(dp.out_cut.begin(), dp.out_cut.end(), by_delay);
-    std::sort(dp.in_cut.begin(), dp.in_cut.end(), by_delay);
-  }
-  return probes;
-}
-
-// Domain d's bound for a round whose next event is at nt: no event chain
-// starting from its pending work can deliver into another domain earlier.
-sim::Time probe_bound(const DomainProbe& dp, sim::Time nt,
-                      sim::Time lookahead) {
-  sim::Time dmin = dp.event_dist;
-  for (const auto& [l, t] : dp.local) {
-    if (t >= dmin) break;
-    if (l->probe_local_active()) {
-      dmin = t;
-      break;
-    }
-  }
-  for (const auto& [l, t] : dp.out_cut) {
-    if (t >= dmin) break;
-    if (l->probe_cut_busy()) {
-      dmin = t;
-      break;
-    }
-  }
-  for (const auto& [l, t] : dp.in_cut) {
-    if (t >= dmin) break;
-    if (l->probe_cut_inflight()) {
-      dmin = t;
-      break;
-    }
-  }
-  // dmin is exact in the reals but the event path accumulates its hop
-  // delays one rounded addition at a time, so a delivery whose exact
-  // time equals nt + dmin can land an ulp early (ACK clocking makes
-  // exact-equality chains the common case, not a corner). Deflate by a
-  // relative margin that dominates the worst-case accumulated rounding
-  // of any chain the bound covers (<~60 operations, each contributing
-  // at most one ulp of the final magnitude; 64 machine epsilons is an
-  // order of magnitude more). The static bound needs no margin — IEEE
-  // addition is monotone, and every event path dominates nt + lookahead
-  // argument-by-argument — so it is a safe floor.
-  constexpr double kFpMargin = 64.0 * std::numeric_limits<double>::epsilon();
-  return std::max(nt + lookahead, (nt + dmin) * (1.0 - kFpMargin));
 }
 
 // --- The scenario driver -----------------------------------------------------
@@ -593,7 +425,6 @@ class Run {
   // mailbox drained and all domain clocks on the target), so the sample
   // sequence — and the JSONL — is identical at any worker count.
   std::unique_ptr<obs::TelemetryPlane> telemetry_;
-  std::vector<DomainProbe> probes_;
   // Per-domain contexts, so endpoint factories place each agent on its own
   // node's clock; the control plane is made from domain 0's.
   std::vector<proto::RunContext> dctx_;
@@ -688,25 +519,6 @@ Run::Run(const ScenarioConfig& cfg, const proto::TransportProfile& profile,
                      ctx0.any_deadline, ctx0.control, ctx0.sim_resolver});
   }
   setup_base_ = control_ ? control_->setup_events() : 0;
-
-  // Conditional lookahead: certify per-domain bounds from the topology (and
-  // the control plane's timer nodes), arm the links' activity counters, and
-  // hand the engine a per-round probe. Static mode skips all of it and the
-  // engine falls back to next_t + min-cut-propagation windows.
-  if (n_dom > 1 &&
-      cfg.horizon_mode == ScenarioConfig::HorizonMode::kConditional) {
-    probes_ = build_horizon_probes(topo, part_, control_.get());
-    for (const auto& h : topo.hosts()) h->uplink().arm_activity_tracking();
-    for (const auto& sw : topo.switches()) {
-      for (int p = 0; p < sw->num_ports(); ++p) {
-        sw->port_link(p).arm_activity_tracking();
-      }
-    }
-    engine_.set_horizon_probe(
-        [this, la = part_.lookahead](int d, sim::Time nt) {
-          return probe_bound(probes_[static_cast<std::size_t>(d)], nt, la);
-        });
-  }
 
   table_.init(profile);
   for (int d = 0; d < n_dom; ++d) {
@@ -1047,6 +859,12 @@ ScenarioResult run_scenario_with_flows(ScenarioConfig cfg,
   validate_generic(cfg);
   profile.validate(cfg);
   if (cfg.workers < 1) bad_config("workers must be at least 1");
+  const int num_hosts = topology_builder(cfg)->hints().num_hosts;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (const char* why = flow_error(flows[i], num_hosts)) {
+      bad_config("flow " + std::to_string(i) + ": " + why);
+    }
+  }
   return Run(cfg, profile, std::move(flows)).execute();
 }
 

@@ -59,32 +59,17 @@ struct ScenarioConfig : proto::ProfileParams {
   sim::Time max_duration = 30.0;  // hard stop for the simulation clock
 
   // Conservative-parallel execution on this many worker threads,
-  // synchronized on certified per-round horizons (see HorizonMode). The
-  // topology is partitioned into one domain per fat-tree pod (whatever the
-  // worker count; workers claim pods dynamically), or into one domain per
-  // worker on topologies without pods. Results are bit-identical to
-  // workers == 1 at any count. Falls back to sequential execution (one
-  // domain) when the profile is not parallel-safe, a cut link has zero
-  // propagation delay, or the partition degenerates to one domain; the
-  // fallback reports workers_used == 1 and names its cause in
-  // ScenarioResult::parallel_fallback_reason. Composes with
-  // exp::SweepRunner: each sweep thread runs its own engine.
+  // synchronized on windows as wide as the smallest cut-link propagation
+  // delay (see sim/parallel.h). The topology is partitioned into one domain
+  // per fat-tree pod (whatever the worker count; workers claim pods
+  // dynamically), or into one domain per worker on topologies without pods.
+  // Results are bit-identical to workers == 1 at any count. Falls back to
+  // sequential execution (one domain) when the profile is not
+  // parallel-safe, a cut link has zero propagation delay, or the partition
+  // degenerates to one domain; the fallback reports workers_used == 1 and
+  // names its cause in ScenarioResult::parallel_fallback_reason. Composes
+  // with exp::SweepRunner: each sweep thread runs its own engine.
   int workers = 1;
-
-  // How the parallel engine bounds each synchronization window (ignored when
-  // the run is sequential).
-  //   kConditional  — per-domain, per-round bound derived from where this
-  //                   round's pending events actually sit: the certified
-  //                   store-and-forward distance from any possible event
-  //                   source to the nearest cut link. Wider windows, fewer
-  //                   rounds; the default.
-  //   kStaticMinCut — the classic conservative window: next event time plus
-  //                   the minimum cut-link propagation delay. Kept as the
-  //                   baseline the bench compares against.
-  // Both modes execute the same events in the same order; only the round
-  // count differs.
-  enum class HorizonMode { kConditional, kStaticMinCut };
-  HorizonMode horizon_mode = HorizonMode::kConditional;
 
   // How per-flow outcomes are aggregated.
   //   kExact     — keep every FlowRecord in ScenarioResult::records; metrics
@@ -251,6 +236,8 @@ void validate_config(const ScenarioConfig& cfg);
 ScenarioResult run_scenario(ScenarioConfig cfg);
 
 // Runs an explicit flow list (src/dst are HOST INDICES, not node ids).
+// Throws std::invalid_argument, naming the flow's index, for a src or dst
+// outside [0, host count), a zero size, or a negative or non-finite start.
 ScenarioResult run_scenario_with_flows(ScenarioConfig cfg,
                                        std::vector<transport::Flow> flows);
 

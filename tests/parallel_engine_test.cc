@@ -100,7 +100,9 @@ TEST(ParallelGolden, PaseFatTreeBitIdenticalAcrossWorkerCounts) {
 // A k=8 fat-tree partitions into 8 pod domains; 3 workers own uneven blocks
 // of them ({0,1}, {2,3,4}, {5,6,7}), so whoever finishes its block first
 // steals from the others and domains change threads from round to round.
-// Neither may move the fingerprint.
+// Neither may move the fingerprint. The window rule reads only the domains'
+// calendars, so the round statistics of 8 domains are the same on 2 workers
+// as on 3.
 void expect_fattree_k8_identical_at_three_workers(workload::Protocol p) {
   workload::ScenarioConfig cfg;
   cfg.protocol = p;
@@ -120,6 +122,15 @@ void expect_fattree_k8_identical_at_three_workers(workload::Protocol p) {
   EXPECT_EQ(metric(r, "parallel.domains"), 8.0);
   EXPECT_TRUE(r.parallel_fallback_reason.empty())
       << r.parallel_fallback_reason;
+
+  cfg.workers = 2;
+  const workload::ScenarioResult r2 = workload::run_scenario(cfg);
+  EXPECT_EQ(r2.workers_used, 2);
+  EXPECT_GT(metric(r, "parallel.rounds"), 0.0);
+  for (const char* name : {"parallel.rounds", "parallel.drains",
+                           "parallel.quiet_rounds", "parallel.cross_posts"}) {
+    EXPECT_EQ(metric(r2, name), metric(r, name)) << name;
+  }
 }
 
 TEST(ParallelGolden, DctcpFatTreeK8PodDomainsAtThreeWorkers) {
@@ -221,34 +232,6 @@ TEST(ParallelEngine, ArbitrationMessagesCountedIdenticallySeqVsParallel) {
   EXPECT_EQ(par.control.delegation_msgs, seq.control.delegation_msgs);
   EXPECT_EQ(par.control.arbitrations, seq.control.arbitrations);
   EXPECT_EQ(par.control.pruned_requests, seq.control.pruned_requests);
-}
-
-// The conditional horizon may only merge windows, never split them: for the
-// same scenario it must decide at most as many rounds as the static min-cut
-// baseline — while producing the exact same trace (the probe moves *when*
-// events run, never their order).
-TEST(ParallelEngine, ConditionalHorizonNeverExceedsStaticRounds) {
-  workload::ScenarioConfig cfg;
-  cfg.protocol = workload::Protocol::kDctcp;
-  cfg.topology = workload::ScenarioConfig::TopologyKind::kFatTree;
-  cfg.fattree.k = 4;
-  cfg.traffic.pattern = workload::Pattern::kIntraRackRandom;
-  cfg.traffic.size_dist = workload::SizeDistribution::kWebSearch;
-  cfg.traffic.load = 0.3;
-  cfg.traffic.num_flows = 150;
-  cfg.traffic.seed = 13;
-  cfg.workers = 4;
-
-  cfg.horizon_mode = workload::ScenarioConfig::HorizonMode::kConditional;
-  const workload::ScenarioResult cond = workload::run_scenario(cfg);
-  cfg.horizon_mode = workload::ScenarioConfig::HorizonMode::kStaticMinCut;
-  const workload::ScenarioResult stat = workload::run_scenario(cfg);
-
-  ASSERT_GT(cond.workers_used, 1) << cond.parallel_fallback_reason;
-  ASSERT_GT(stat.workers_used, 1) << stat.parallel_fallback_reason;
-  EXPECT_EQ(trace_fingerprint(cond), trace_fingerprint(stat));
-  EXPECT_GT(metric(stat, "parallel.rounds"), 0.0);
-  EXPECT_LE(metric(cond, "parallel.rounds"), metric(stat, "parallel.rounds"));
 }
 
 // Every built-in profile must actually partition under workers > 1, and the

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -129,6 +131,49 @@ TEST(ValidateConfig, RejectsNonsenseScenario) {
     cfg.profile_name = "no-such-transport";
     EXPECT_THROW(workload::validate_config(cfg), std::invalid_argument);
   }
+}
+
+// An explicit flow list names hosts by index; each malformed flow is
+// rejected before the run instead of crashing it or spinning to
+// max_duration.
+TEST(ValidateConfig, RejectsMalformedFlowLists) {
+  ScenarioConfig cfg;
+  cfg.rack.num_hosts = 4;
+  net::FlowId next_id = 1;
+  const auto flow = [&next_id](net::NodeId src, net::NodeId dst,
+                               std::uint64_t size_bytes, double start) {
+    transport::Flow f;
+    f.id = next_id++;
+    f.src = src;
+    f.dst = dst;
+    f.size_bytes = size_bytes;
+    f.start_time = start;
+    return f;
+  };
+  const struct {
+    const char* rule;
+    transport::Flow bad;
+  } cases[] = {
+      {"src past the last host", flow(4000000, 1, 3000, 0.0)},
+      {"negative src", flow(-1, 1, 3000, 0.0)},
+      {"dst past the last host", flow(0, 4, 3000, 0.0)},
+      {"negative dst", flow(0, -5, 3000, 0.0)},
+      {"zero bytes", flow(0, 1, 0, 0.0)},
+      {"negative start", flow(0, 1, 3000, -1e-3)},
+      {"infinite start", flow(0, 1, 3000, sim::kTimeInfinity)},
+      {"NaN start", flow(0, 1, 3000, std::nan(""))},
+  };
+  for (const auto& c : cases) {
+    // The bad flow sits behind a good one, so the check covers every index.
+    EXPECT_THROW(workload::run_scenario_with_flows(
+                     cfg, {flow(2, 3, 3000, 0.0), c.bad}),
+                 std::invalid_argument)
+        << c.rule;
+  }
+  const workload::ScenarioResult r = workload::run_scenario_with_flows(
+      cfg, {flow(0, 3, 3000, 0.0), flow(3, 0, 3000, 1e-3)});
+  EXPECT_EQ(r.total_flows(), 2u);
+  EXPECT_EQ(r.unfinished(), 0u);
 }
 
 TEST(ValidateConfig, AcceptsDefaults) {
