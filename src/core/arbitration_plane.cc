@@ -567,14 +567,6 @@ const ControlPlaneStats& ArbitrationPlane::stats() const {
 // ---------------------------------------------------------------------------
 // Introspection
 
-LinkArbitrator* ArbitrationPlane::uplink_arbitrator(net::NodeId host) {
-  auto it = host_states_.find(host);
-  return it == host_states_.end() ? nullptr : it->second.up.get();
-}
-LinkArbitrator* ArbitrationPlane::downlink_arbitrator(net::NodeId host) {
-  auto it = host_states_.find(host);
-  return it == host_states_.end() ? nullptr : it->second.down.get();
-}
 LinkArbitrator* ArbitrationPlane::tor_up_arbitrator(net::NodeId tor) {
   auto it = tor_states_.find(tor);
   return it == tor_states_.end() ? nullptr : it->second.up.get();

@@ -133,8 +133,6 @@ class ArbitrationPlane {
   void attach_receiver(transport::Receiver& receiver);
 
   // --- introspection ---------------------------------------------------------
-  LinkArbitrator* uplink_arbitrator(net::NodeId host);
-  LinkArbitrator* downlink_arbitrator(net::NodeId host);
   LinkArbitrator* tor_up_arbitrator(net::NodeId tor);
   LinkArbitrator* agg_up_arbitrator(net::NodeId agg);
 

@@ -120,73 +120,99 @@ void append_field(std::string& out, const char* key, double v) {
 
 }  // namespace
 
-std::string sweep_to_json(
-    const std::string& name, const std::vector<SweepCase>& cases,
-    const std::vector<workload::ScenarioResult>& results) {
-  assert(cases.size() == results.size());
+std::string scenario_record(
+    const SweepCase& c, const workload::ScenarioResult& r,
+    const std::vector<std::pair<std::string, long long>>& counts,
+    const std::vector<std::pair<std::string, double>>& measures) {
   std::string out;
-  out.reserve(512 + 512 * cases.size());
+  out.reserve(512);
+  out += "{\"label\": ";
+  append_string(out, c.label);
+  out += ", \"protocol\": ";
+  append_string(out, workload::protocol_name(c.config.protocol));
+  out += ", \"topology\": ";
+  switch (c.config.topology) {
+    case workload::ScenarioConfig::TopologyKind::kSingleRack:
+      append_string(out, "single_rack");
+      break;
+    case workload::ScenarioConfig::TopologyKind::kFatTree:
+      append_string(out, "fat_tree");
+      break;
+    case workload::ScenarioConfig::TopologyKind::kThreeTier:
+      append_string(out, "three_tier");
+      break;
+  }
+  out += ", ";
+  append_field(out, "load", c.config.traffic.load);
+  out += ", \"num_flows\": " + std::to_string(c.config.traffic.num_flows);
+  out += ", \"seed\": " + std::to_string(c.config.traffic.seed);
+  out += ", ";
+  append_field(out, "afct_s", r.afct());
+  out += ", ";
+  append_field(out, "fct_p99_s", r.fct_p99());
+  out += ", ";
+  append_field(out, "app_throughput_bps", r.app_throughput());
+  out += ", ";
+  append_field(out, "loss_rate", r.loss_rate());
+  out += ", \"unfinished\": " + std::to_string(r.unfinished());
+  out += ", \"flows\": " + std::to_string(r.total_flows());
+  out += ", \"fabric_drops\": " + std::to_string(r.fabric_drops);
+  out += ", \"data_packets_sent\": " + std::to_string(r.data_packets_sent);
+  out += ", \"probes_sent\": " + std::to_string(r.probes_sent);
+  out += ", \"control_messages_sent\": " +
+         std::to_string(r.control.messages_sent);
+  out += ", ";
+  append_field(out, "end_time_s", r.end_time);
+  out += ", \"workers_used\": " + std::to_string(r.workers_used);
+  out += ", \"parallel_fallback_reason\": ";
+  append_string(out, r.parallel_fallback_reason);
+  out += ", \"metrics\": {";
+  for (std::size_t m = 0; m < r.metrics.size(); ++m) {
+    if (m > 0) out += ", ";
+    append_string(out, r.metrics[m].name);
+    out += ": ";
+    append_number(out, r.metrics[m].value);
+  }
+  out += '}';
+  for (const auto& [key, value] : counts) {
+    out += ", ";
+    append_string(out, key);
+    out += ": " + std::to_string(value);
+  }
+  for (const auto& [key, value] : measures) {
+    out += ", ";
+    append_field(out, key.c_str(), value);
+  }
+  out += '}';
+  return out;
+}
+
+std::string sweep_document(const std::string& name,
+                           const std::vector<std::string>& records) {
+  std::string out;
   out += "{\n  \"name\": ";
   append_string(out, name);
   out += ",\n  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const SweepCase& c = cases[i];
-    const workload::ScenarioResult& r = results[i];
-    out += "    {";
-    out += "\"label\": ";
-    append_string(out, c.label);
-    out += ", \"protocol\": ";
-    append_string(out, workload::protocol_name(c.config.protocol));
-    out += ", \"topology\": ";
-    switch (c.config.topology) {
-      case workload::ScenarioConfig::TopologyKind::kSingleRack:
-        append_string(out, "single_rack");
-        break;
-      case workload::ScenarioConfig::TopologyKind::kFatTree:
-        append_string(out, "fat_tree");
-        break;
-      case workload::ScenarioConfig::TopologyKind::kThreeTier:
-        append_string(out, "three_tier");
-        break;
-    }
-    out += ", ";
-    append_field(out, "load", c.config.traffic.load);
-    out += ", \"num_flows\": " + std::to_string(c.config.traffic.num_flows);
-    out += ", \"seed\": " + std::to_string(c.config.traffic.seed);
-    out += ", ";
-    append_field(out, "afct_s", r.afct());
-    out += ", ";
-    append_field(out, "fct_p99_s", r.fct_p99());
-    out += ", ";
-    append_field(out, "app_throughput_bps", r.app_throughput());
-    out += ", ";
-    append_field(out, "loss_rate", r.loss_rate());
-    out += ", \"unfinished\": " + std::to_string(r.unfinished());
-    out += ", \"flows\": " + std::to_string(r.total_flows());
-    out += ", \"fabric_drops\": " + std::to_string(r.fabric_drops);
-    out += ", \"data_packets_sent\": " + std::to_string(r.data_packets_sent);
-    out += ", \"probes_sent\": " + std::to_string(r.probes_sent);
-    out += ", \"control_messages_sent\": " +
-           std::to_string(r.control.messages_sent);
-    out += ", ";
-    append_field(out, "end_time_s", r.end_time);
-    out += ", \"workers_used\": " + std::to_string(r.workers_used);
-    out += ", \"parallel_fallback_reason\": ";
-    append_string(out, r.parallel_fallback_reason);
-    out += ", \"metrics\": {";
-    for (std::size_t m = 0; m < r.metrics.size(); ++m) {
-      if (m > 0) out += ", ";
-      append_string(out, r.metrics[m].name);
-      out += ": ";
-      append_number(out, r.metrics[m].value);
-    }
-    out += '}';
-    out += '}';
-    if (i + 1 < cases.size()) out += ',';
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    out += "    ";
+    out += records[i];
+    if (i + 1 < records.size()) out += ',';
     out += '\n';
   }
   out += "  ]\n}\n";
   return out;
+}
+
+std::string sweep_to_json(
+    const std::string& name, const std::vector<SweepCase>& cases,
+    const std::vector<workload::ScenarioResult>& results) {
+  assert(cases.size() == results.size());
+  std::vector<std::string> records;
+  records.reserve(cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    records.push_back(scenario_record(cases[i], results[i]));
+  }
+  return sweep_document(name, records);
 }
 
 bool write_sweep_json(const std::string& path, const std::string& name,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "workload/scenario.h"
@@ -45,6 +46,20 @@ struct SweepCase {
   std::string label;
   workload::ScenarioConfig config;
 };
+
+// Renders one scenario record: the JSON object sweep_to_json writes for each
+// cell. `counts` (printed as integers) and then `measures` (printed shortest
+// round-trip) follow the record's own fields, in order; the scale bench adds
+// grid coordinates and host measurements there.
+std::string scenario_record(
+    const SweepCase& c, const workload::ScenarioResult& r,
+    const std::vector<std::pair<std::string, long long>>& counts = {},
+    const std::vector<std::pair<std::string, double>>& measures = {});
+
+// Wraps rendered records in the sweep document:
+// {"name": ..., "scenarios": [...]}.
+std::string sweep_document(const std::string& name,
+                           const std::vector<std::string>& records);
 
 // Renders a completed sweep as a JSON document (see EXPERIMENTS.md for the
 // schema). `results` must be positionally parallel to `cases`.

@@ -56,7 +56,7 @@ class EndpointArena {
   }
 
   void* acquire() {
-    PASE_DCHECK(initialized());
+    PASE_CHECK(initialized());
     if (!free_.empty()) {
       void* p = free_.back();
       free_.pop_back();
@@ -74,7 +74,7 @@ class EndpointArena {
   }
 
   void release(void* p) {
-    PASE_DCHECK(live_ > 0);
+    PASE_CHECK(live_ > 0);
     --live_;
     free_.push_back(p);
   }

@@ -295,7 +295,6 @@ class Simulator {
   // the bucket chains" analysis that previously required a hand-run
   // profiler.
   void enable_profiling() { profiling_ = true; }
-  bool profiling_enabled() const { return profiling_; }
 
   // Human-readable label for a raw event function (e.g. "link.deliver").
   // Registered alongside prefetch hints; re-registering is idempotent.

@@ -196,12 +196,6 @@ std::uint64_t Topology::total_drops() const {
   return n;
 }
 
-std::uint64_t Topology::total_marks() const {
-  std::uint64_t n = 0;
-  for_each_queue([&n](net::Queue& q) { n += q.marks(); });
-  return n;
-}
-
 std::uint64_t Topology::total_enqueues() const {
   std::uint64_t n = 0;
   for_each_queue([&n](net::Queue& q) { n += q.enqueues(); });

@@ -105,7 +105,6 @@ class Topology {
 
   // Aggregate fabric statistics (all switch port queues + host uplinks).
   std::uint64_t total_drops() const;
-  std::uint64_t total_marks() const;
   std::uint64_t total_enqueues() const;
 
   // Visits every queue in the topology.

@@ -127,7 +127,7 @@ class EndpointTable {
 
   // Returns the slot index (and its SoA row) to the free list.
   void release(std::uint32_t s) {
-    PASE_DCHECK(slots_[s].in_use && slots_[s].sender == nullptr);
+    PASE_CHECK(slots_[s].in_use && slots_[s].sender == nullptr);
     slots_[s].in_use = false;
     free_.push_back(s);
     --live_;

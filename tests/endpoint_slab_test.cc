@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "proto/endpoint_arena.h"
+#include "workload/endpoint_table.h"
 #include "workload/scenario.h"
 
 namespace pase {
@@ -66,6 +67,43 @@ TEST(EndpointArena, ReservePreallocatesCapacity) {
   EXPECT_EQ(arena.grow_events(), setup_grows)
       << "acquires within reserved capacity allocated";
   for (void* p : slots) arena.release(p);
+}
+
+// --- slab guards abort in every build -----------------------------------------
+//
+// Each guarded state would let the arena or the table hand one slot to two
+// flows, so the guards are PASE_CHECKs, not debug-only DCHECKs.
+
+TEST(EndpointArenaDeathTest, AcquireBeforeInitAborts) {
+  EXPECT_DEATH(
+      {
+        proto::EndpointArena arena;
+        arena.acquire();
+      },
+      "initialized\\(\\)");
+}
+
+TEST(EndpointArenaDeathTest, ReleaseWithNoLiveSlotAborts) {
+  EXPECT_DEATH(
+      {
+        proto::EndpointArena arena;
+        arena.init(64, 8);
+        void* p = arena.acquire();
+        arena.release(p);
+        arena.release(p);
+      },
+      "live_ > 0");
+}
+
+TEST(EndpointTableDeathTest, DoubleReleaseAborts) {
+  EXPECT_DEATH(
+      {
+        workload::EndpointTable table;
+        const std::uint32_t s = table.acquire();
+        table.release(s);
+        table.release(s);
+      },
+      "in_use");
 }
 
 // --- recycling is event-path invisible ---------------------------------------
