@@ -2,159 +2,115 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "topo/builder.h"
+#include <vector>
 
 namespace pase::core {
 
 // ---------------------------------------------------------------------------
-// PlaneTopology adapters
-
-PlaneTopology PlaneTopology::from(topo::ThreeTier& tt) {
-  PlaneTopology pt;
-  pt.topo = tt.topo.get();
-  pt.host_rate_bps = tt.config.host_rate_bps;
-  pt.fabric_rate_bps = tt.config.fabric_rate_bps;
-  const auto& hosts = tt.topo->hosts();
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    const int tor_idx = tt.tor_of_host(static_cast<int>(i));
-    pt.hosts[hosts[i]->id()] =
-        HostInfo{hosts[i].get(), tt.tors[static_cast<std::size_t>(tor_idx)],
-                 tt.agg_of_tor(tor_idx)};
-  }
-  return pt;
-}
-
-PlaneTopology PlaneTopology::from(topo::BuiltTopology& built) {
-  PlaneTopology pt;
-  pt.topo = &built.topo();
-  pt.host_rate_bps = built.host_rate_bps();
-  pt.fabric_rate_bps = built.fabric_rate_bps();
-  const auto& hosts = built.topo().hosts();
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    const topo::HostAttachment at = built.attachment(i);
-    pt.hosts[hosts[i]->id()] = HostInfo{hosts[i].get(), at.tor, at.agg};
-  }
-  return pt;
-}
-
-PlaneTopology PlaneTopology::from(topo::SingleRack& rack) {
-  PlaneTopology pt;
-  pt.topo = rack.topo.get();
-  pt.host_rate_bps = rack.config.host_rate_bps;
-  pt.fabric_rate_bps = rack.config.host_rate_bps;
-  for (const auto& h : rack.topo->hosts()) {
-    pt.hosts[h->id()] = HostInfo{h.get(), rack.tor, nullptr};
-  }
-  return pt;
-}
-
-// ---------------------------------------------------------------------------
 // Construction
 
-ArbitrationPlane::ArbitrationPlane(sim::Simulator& sim, PlaneTopology pt,
+ArbitrationPlane::ArbitrationPlane(sim::Simulator& sim, topo::Topology& topo,
                                    PaseConfig cfg)
     : ArbitrationPlane(
-          [&sim](net::NodeId) -> sim::Simulator& { return sim; },
-          std::move(pt), cfg) {}
+          [&sim](net::NodeId) -> sim::Simulator& { return sim; }, topo, cfg) {}
 
-ArbitrationPlane::ArbitrationPlane(const SimResolver& sim_of, PlaneTopology pt,
-                                   PaseConfig cfg)
-    : pt_(std::move(pt)), cfg_(cfg) {
-  // Endpoint arbitrators: one pair per host, living on the host.
-  for (auto& [id, info] : pt_.hosts) {
+ArbitrationPlane::ArbitrationPlane(const SimResolver& sim_of,
+                                   topo::Topology& topo, PaseConfig cfg)
+    : cfg_(cfg) {
+  for (const auto& h : topo.hosts()) {
+    // The host's ToR, and the switch above the ToR as its parent. On a
+    // fat-tree the ToR (edge) has k/2 aggs above it; the first in port
+    // order, the pod's slot-0 agg, stands in for the whole agg tier, so all
+    // hosts of a pod share one designated aggregation arbitrator — an
+    // approximation under ECMP, where most flows cross other aggs.
+    net::Switch& tor = topo::Topology::tor_of(*h);
+    SwitchState& ts = switch_state(sim_of, topo, tor);
+    if (ts.up && ts.parent == nullptr) {
+      const int up = topo.up_port(tor);
+      ts.parent = &switch_state(
+          sim_of, topo, static_cast<net::Switch&>(*tor.port_neighbor(up)));
+    }
+
+    // Endpoint arbitrators: one pair per host, living on the host.
+    const net::NodeId id = h->id();
     HostState hs;
-    hs.info = info;
+    hs.host = h.get();
+    hs.tor = &tor;
+    hs.agg = ts.parent ? ts.parent->sw : nullptr;
+    hs.nic_bps = h->nic_rate_bps();
     hs.sim = &sim_of(id);
-    hs.up = std::make_unique<LinkArbitrator>(info.host->name() + ".up", id,
-                                             pt_.host_rate_bps, cfg_);
-    hs.down = std::make_unique<LinkArbitrator>(info.host->name() + ".down", id,
-                                               pt_.host_rate_bps, cfg_);
-    info.host->set_control_handler(
+    hs.up = std::make_unique<LinkArbitrator>(h->name() + ".up", id,
+                                             hs.nic_bps, cfg_);
+    hs.down = std::make_unique<LinkArbitrator>(h->name() + ".down", id,
+                                               hs.nic_bps, cfg_);
+    h->set_control_handler(
         [this, id](net::PacketPtr p) { on_host_control(id, std::move(p)); });
     host_states_.emplace(id, std::move(hs));
-
-    // ToR arbitrators, created lazily the first time a host names its ToR.
-    net::Switch* tor = info.tor;
-    if (tor != nullptr && !tor_states_.contains(tor->id())) {
-      TorState ts;
-      ts.tor = tor;
-      ts.agg = info.agg;
-      ts.sim = &sim_of(tor->id());
-      if (info.agg != nullptr) {
-        ts.up = std::make_unique<LinkArbitrator>(tor->name() + ".up",
-                                                 tor->id(),
-                                                 pt_.fabric_rate_bps, cfg_);
-        ts.down = std::make_unique<LinkArbitrator>(tor->name() + ".down",
-                                                   tor->id(),
-                                                   pt_.fabric_rate_bps, cfg_);
-      }
-      net::Switch* sw = tor;
-      tor->set_control_handler([this, sw](net::PacketPtr p) {
-        on_switch_control(sw, std::move(p));
-      });
-      tor_states_.emplace(tor->id(), std::move(ts));
-    }
-    // Agg arbitrators.
-    net::Switch* agg = info.agg;
-    if (agg != nullptr && !agg_states_.contains(agg->id())) {
-      AggState as;
-      as.agg = agg;
-      as.sim = &sim_of(agg->id());
-      as.up = std::make_unique<LinkArbitrator>(agg->name() + ".up", agg->id(),
-                                               pt_.fabric_rate_bps, cfg_);
-      as.down = std::make_unique<LinkArbitrator>(agg->name() + ".down",
-                                                 agg->id(),
-                                                 pt_.fabric_rate_bps, cfg_);
-      net::Switch* sw = agg;
-      agg->set_control_handler([this, sw](net::PacketPtr p) {
-        on_switch_control(sw, std::move(p));
-      });
-      agg_states_.emplace(agg->id(), std::move(as));
-    }
   }
 
-  // Delegation: carve the Agg<->Core links into per-ToR virtual links.
+  // Delegation: carve each parent's links into per-child virtual links.
   // (Meaningless in local-only mode, where no fabric arbitration happens.)
   if (cfg_.local_only) cfg_.delegation = false;
   if (cfg_.delegation) {
-    // Count children per agg for the initial equal split.
-    std::unordered_map<net::NodeId, int> children;
-    for (auto& [tid, ts] : tor_states_) {
-      if (ts.agg != nullptr) {
-        ++children[ts.agg->id()];
-        delegation_tors_.push_back(tid);
+    // Count children per parent for the initial equal split.
+    std::vector<net::NodeId> children;
+    std::unordered_map<const SwitchState*, int> num_children;
+    for (auto& [id, ss] : switch_states_) {
+      if (ss.parent != nullptr) {
+        ++num_children[ss.parent];
+        children.push_back(id);
       }
     }
-    // Timers go on each ToR's own domain clock as setup roots executing at
-    // the ToR, in globally sorted ToR-id order: the j-th timer takes setup
+    // Timers go on each child's own domain clock as setup roots executing
+    // at the child, in globally sorted id order: the j-th timer takes setup
     // index j, which sorting makes partition-invariant (see setup_events()).
-    std::sort(delegation_tors_.begin(), delegation_tors_.end());
-    std::uint32_t j = 0;
-    for (const net::NodeId tid : delegation_tors_) {
-      TorState& ts = tor_states_.at(tid);
-      const double share = pt_.fabric_rate_bps / children[ts.agg->id()];
-      ts.virt_up = std::make_unique<LinkArbitrator>(
-          ts.tor->name() + ".virt_up", ts.tor->id(), share, cfg_);
-      ts.virt_down = std::make_unique<LinkArbitrator>(
-          ts.tor->name() + ".virt_down", ts.tor->id(), share, cfg_);
-      auto& as = agg_states_.at(ts.agg->id());
-      as.demand_up[tid] = 0.0;
-      as.demand_down[tid] = 0.0;
-      TorState* tsp = &ts;
-      ts.sim->schedule_setup_at(
-          ts.sim->now() + cfg_.delegation_update_period, j++,
-          static_cast<std::uint32_t>(tid),
-          [this, tsp] { delegation_tick(*tsp); });
+    std::sort(children.begin(), children.end());
+    for (const net::NodeId cid : children) {
+      SwitchState& cs = switch_states_.at(cid);
+      SwitchState& ps = switch_states_.at(cs.parent->sw->id());
+      const double share = ps.uplink_bps / num_children[&ps];
+      cs.virt_up = std::make_unique<LinkArbitrator>(
+          cs.sw->name() + ".virt_up", cid, share, cfg_);
+      cs.virt_down = std::make_unique<LinkArbitrator>(
+          cs.sw->name() + ".virt_down", cid, share, cfg_);
+      ps.demand_up[cid] = 0.0;
+      ps.demand_down[cid] = 0.0;
+      SwitchState* csp = &cs;
+      cs.sim->schedule_setup_at(
+          cs.sim->now() + cfg_.delegation_update_period, delegation_timers_++,
+          static_cast<std::uint32_t>(cid),
+          [this, csp] { delegation_tick(*csp); });
     }
   }
 }
 
-void ArbitrationPlane::delegation_tick(TorState& ts) {
-  send_delegation_report(ts);
-  TorState* tsp = &ts;
-  ts.sim->schedule(cfg_.delegation_update_period,
-                   [this, tsp] { delegation_tick(*tsp); });
+ArbitrationPlane::SwitchState& ArbitrationPlane::switch_state(
+    const SimResolver& sim_of, const topo::Topology& topo, net::Switch& sw) {
+  auto [it, fresh] = switch_states_.try_emplace(sw.id());
+  SwitchState& ss = it->second;
+  if (!fresh) return ss;
+  ss.sw = &sw;
+  ss.sim = &sim_of(sw.id());
+  const int up = topo.up_port(sw);
+  if (up >= 0) {
+    ss.uplink_bps = sw.port_link(up).rate_bps();
+    ss.up = std::make_unique<LinkArbitrator>(sw.name() + ".up", sw.id(),
+                                             ss.uplink_bps, cfg_);
+    ss.down = std::make_unique<LinkArbitrator>(sw.name() + ".down", sw.id(),
+                                               ss.uplink_bps, cfg_);
+  }
+  net::Switch* swp = &sw;
+  sw.set_control_handler([this, swp](net::PacketPtr p) {
+    on_switch_control(swp, std::move(p));
+  });
+  return ss;
+}
+
+void ArbitrationPlane::delegation_tick(SwitchState& ss) {
+  send_delegation_report(ss);
+  SwitchState* ssp = &ss;
+  ss.sim->schedule(cfg_.delegation_update_period,
+                   [this, ssp] { delegation_tick(*ssp); });
 }
 
 // ---------------------------------------------------------------------------
@@ -192,13 +148,13 @@ double ArbitrationPlane::key_from_header(const net::ArbHeader& h) const {
 }
 
 bool ArbitrationPlane::same_rack(const transport::Flow& f) const {
-  return pt_.hosts.at(f.src).tor == pt_.hosts.at(f.dst).tor;
+  return host_states_.at(f.src).tor == host_states_.at(f.dst).tor;
 }
 
 bool ArbitrationPlane::same_agg_hdr(const net::ArbHeader& h) const {
-  // pt_.hosts is immutable after construction, so this read is safe from any
-  // domain's thread.
-  return pt_.hosts.at(h.src_host).agg == pt_.hosts.at(h.dst_host).agg;
+  // Reads only the hosts' fixed attachment, so it is safe from any domain's
+  // thread.
+  return host_states_.at(h.src_host).agg == host_states_.at(h.dst_host).agg;
 }
 
 net::PacketPtr ArbitrationPlane::make_arb_packet(net::PacketType type,
@@ -220,7 +176,7 @@ net::PacketPtr ArbitrationPlane::make_arb_packet(net::PacketType type,
 
 void ArbitrationPlane::send_from_host(HostState& hs, net::PacketPtr p) {
   ++hs.stats.messages_sent;
-  hs.info.host->send(std::move(p));
+  hs.host->send(std::move(p));
 }
 
 void ArbitrationPlane::send_from_switch(ControlPlaneStats& st, net::Switch& sw,
@@ -262,7 +218,7 @@ FlowTable::Result ArbitrationPlane::source_arbitrate(
       cfg_.early_pruning && local.prio_queue >= cfg_.pruning_queues;
   if (needs_fabric && !pruned) {
     auto p = make_arb_packet(net::PacketType::kArbRequest, flow, flow.src,
-                             hs.info.tor->id());
+                             hs.tor->id());
     p->arb.flow_size = remaining_bytes;
     p->arb.demand = demand_bps;
     p->arb.receiver_half = false;
@@ -283,7 +239,7 @@ void ArbitrationPlane::sender_finished(const transport::Flow& flow) {
   hs.tx.erase(flow.id);
   if (!cfg_.local_only && !same_rack(flow)) {
     auto p = make_arb_packet(net::PacketType::kArbFin, flow, flow.src,
-                             hs.info.tor->id());
+                             hs.tor->id());
     p->arb.receiver_half = false;
     ++hs.stats.fins;
     send_from_host(hs, std::move(p));
@@ -324,7 +280,7 @@ void ArbitrationPlane::receiver_data_arrived(const transport::Flow& flow,
   }
 
   const double demand =
-      std::min(pt_.host_rate_bps, remaining_bytes * 8.0 / cfg_.rtt);
+      std::min(hs.nic_bps, remaining_bytes * 8.0 / cfg_.rtt);
   ++hs.stats.arbitrations;
   FlowTable::Result local = hs.down->process(
       flow.id, key_of(flow, remaining_bytes), demand, now);
@@ -342,7 +298,7 @@ void ArbitrationPlane::receiver_data_arrived(const transport::Flow& flow,
   const bool pruned =
       cfg_.early_pruning && local.prio_queue >= cfg_.pruning_queues;
   if (needs_fabric && !pruned) {
-    p->dst = hs.info.tor->id();
+    p->dst = hs.tor->id();
     ++hs.stats.requests;
     send_from_host(hs, std::move(p));
   } else {
@@ -362,7 +318,7 @@ void ArbitrationPlane::receiver_finished(const transport::Flow& flow) {
   hs.rx_last.erase(flow.id);
   if (!same_rack(flow)) {
     auto p = make_arb_packet(net::PacketType::kArbFin, flow, flow.dst,
-                             hs.info.tor->id());
+                             hs.tor->id());
     p->arb.receiver_half = true;
     ++hs.stats.fins;
     send_from_host(hs, std::move(p));
@@ -382,39 +338,22 @@ void ArbitrationPlane::on_host_control(net::NodeId host, net::PacketPtr p) {
 }
 
 void ArbitrationPlane::on_switch_control(net::Switch* sw, net::PacketPtr p) {
-  auto tor_it = tor_states_.find(sw->id());
-  if (tor_it != tor_states_.end()) {
-    TorState& ts = tor_it->second;
-    switch (p->type) {
-      case net::PacketType::kArbRequest:
-        handle_request_at_tor(ts, std::move(p));
-        return;
-      case net::PacketType::kArbFin:
-        handle_fin_at_tor(ts, std::move(p));
-        return;
-      case net::PacketType::kArbDelegate:
-        handle_grant_at_tor(ts, *p);
-        return;
-      default:
-        return;
-    }
-  }
-  auto agg_it = agg_states_.find(sw->id());
-  if (agg_it != agg_states_.end()) {
-    AggState& as = agg_it->second;
-    switch (p->type) {
-      case net::PacketType::kArbRequest:
-        handle_request_at_agg(as, std::move(p));
-        return;
-      case net::PacketType::kArbFin:
-        handle_fin_at_agg(as, std::move(p));
-        return;
-      case net::PacketType::kArbReport:
-        handle_report_at_agg(as, *p);
-        return;
-      default:
-        return;
-    }
+  SwitchState& ss = switch_states_.at(sw->id());
+  switch (p->type) {
+    case net::PacketType::kArbRequest:
+      handle_request(ss, std::move(p));
+      return;
+    case net::PacketType::kArbFin:
+      handle_fin(ss, std::move(p));
+      return;
+    case net::PacketType::kArbReport:
+      handle_report(ss, *p);
+      return;
+    case net::PacketType::kArbDelegate:
+      handle_grant(ss, *p);
+      return;
+    default:
+      return;
   }
 }
 
@@ -425,131 +364,117 @@ void fold(net::ArbHeader& h, const FlowTable::Result& r) {
 }
 }  // namespace
 
-void ArbitrationPlane::handle_request_at_tor(TorState& ts, net::PacketPtr p) {
+void ArbitrationPlane::handle_request(SwitchState& ss, net::PacketPtr p) {
   const double key = key_from_header(p->arb);
-  LinkArbitrator* arb = p->arb.receiver_half ? ts.down.get() : ts.up.get();
-  if (arb == nullptr) {  // single-rack: nothing above the ToR
-    respond(ts.stats, *ts.tor, std::move(p));
+  LinkArbitrator* arb = p->arb.receiver_half ? ss.down.get() : ss.up.get();
+  if (arb == nullptr) {  // no link above this switch (a rack's ToR)
+    respond(ss.stats, *ss.sw, std::move(p));
     return;
   }
-  ++ts.stats.arbitrations;
+  ++ss.stats.arbitrations;
   ++p->arb.hops;
-  fold(p->arb, arb->process(p->flow, key, p->arb.demand, ts.sim->now()));
+  fold(p->arb, arb->process(p->flow, key, p->arb.demand, ss.sim->now()));
 
-  if (cfg_.early_pruning && p->arb.prio_queue >= cfg_.pruning_queues) {
-    ++ts.stats.pruned_requests;
-    respond(ts.stats, *ts.tor, std::move(p));
+  // The top arbitrator answers; it never prunes (nothing is above it).
+  if (ss.parent == nullptr) {
+    respond(ss.stats, *ss.sw, std::move(p));
     return;
   }
-  if (same_agg_hdr(p->arb)) {  // the Agg<->Core links are not on this path
-    respond(ts.stats, *ts.tor, std::move(p));
+  if (cfg_.early_pruning && p->arb.prio_queue >= cfg_.pruning_queues) {
+    ++ss.stats.pruned_requests;
+    respond(ss.stats, *ss.sw, std::move(p));
+    return;
+  }
+  if (same_agg_hdr(p->arb)) {  // the parent's links are not on this path
+    respond(ss.stats, *ss.sw, std::move(p));
     return;
   }
   if (cfg_.delegation) {
     LinkArbitrator* virt =
-        p->arb.receiver_half ? ts.virt_down.get() : ts.virt_up.get();
-    ++ts.stats.arbitrations;
-    fold(p->arb, virt->process(p->flow, key, p->arb.demand, ts.sim->now()));
-    respond(ts.stats, *ts.tor, std::move(p));
+        p->arb.receiver_half ? ss.virt_down.get() : ss.virt_up.get();
+    ++ss.stats.arbitrations;
+    fold(p->arb, virt->process(p->flow, key, p->arb.demand, ss.sim->now()));
+    respond(ss.stats, *ss.sw, std::move(p));
     return;
   }
-  // Ascend to the aggregation arbitrator.
-  p->dst = ts.agg->id();
-  ++ts.stats.requests;
-  send_from_switch(ts.stats, *ts.tor, std::move(p));
+  // Ascend to the parent's arbitrator.
+  p->dst = ss.parent->sw->id();
+  ++ss.stats.requests;
+  send_from_switch(ss.stats, *ss.sw, std::move(p));
 }
 
-void ArbitrationPlane::handle_request_at_agg(AggState& as, net::PacketPtr p) {
-  const double key = key_from_header(p->arb);
-  LinkArbitrator* arb = p->arb.receiver_half ? as.down.get() : as.up.get();
-  ++as.stats.arbitrations;
-  ++p->arb.hops;
-  fold(p->arb, arb->process(p->flow, key, p->arb.demand, as.sim->now()));
-  respond(as.stats, *as.agg, std::move(p));
-}
-
-void ArbitrationPlane::handle_fin_at_tor(TorState& ts, net::PacketPtr p) {
+void ArbitrationPlane::handle_fin(SwitchState& ss, net::PacketPtr p) {
   if (p->arb.receiver_half) {
-    if (ts.down) ts.down->remove(p->flow);
-    if (ts.virt_down) ts.virt_down->remove(p->flow);
+    if (ss.down) ss.down->remove(p->flow);
+    if (ss.virt_down) ss.virt_down->remove(p->flow);
   } else {
-    if (ts.up) ts.up->remove(p->flow);
-    if (ts.virt_up) ts.virt_up->remove(p->flow);
+    if (ss.up) ss.up->remove(p->flow);
+    if (ss.virt_up) ss.virt_up->remove(p->flow);
   }
-  // Forward to the agg unless delegation means it never saw the flow. The
-  // flow may not exist up there (pruning) — removal is idempotent either way.
-  if (ts.agg != nullptr && !cfg_.delegation) {
-    p->dst = ts.agg->id();
-    ++ts.stats.fins;
-    send_from_switch(ts.stats, *ts.tor, std::move(p));
-  }
-}
-
-void ArbitrationPlane::handle_fin_at_agg(AggState& as, net::PacketPtr p) {
-  if (p->arb.receiver_half) {
-    as.down->remove(p->flow);
-  } else {
-    as.up->remove(p->flow);
+  // Forward to the parent unless delegation means it never saw the flow.
+  // The flow may not exist up there (pruning) — removal is idempotent.
+  if (ss.parent != nullptr && !cfg_.delegation) {
+    p->dst = ss.parent->sw->id();
+    ++ss.stats.fins;
+    send_from_switch(ss.stats, *ss.sw, std::move(p));
   }
 }
 
 // ---------------------------------------------------------------------------
 // Delegation
 
-void ArbitrationPlane::send_delegation_report(TorState& ts) {
-  if (ts.agg == nullptr || !cfg_.delegation) return;
+void ArbitrationPlane::send_delegation_report(SwitchState& ss) {
+  if (ss.parent == nullptr || !cfg_.delegation) return;
   for (const bool down : {false, true}) {
-    const double demand = down ? ts.virt_down->table().total_demand()
-                               : ts.virt_up->table().total_demand();
+    const double demand = down ? ss.virt_down->table().total_demand()
+                               : ss.virt_up->table().total_demand();
     // Suppress no-change reports: an idle rack costs the control plane
     // nothing, so overhead scales with activity rather than wall time.
-    double& reported = down ? ts.reported_down : ts.reported_up;
+    double& reported = down ? ss.reported_down : ss.reported_up;
     if (reported >= 0.0 &&
-        std::abs(demand - reported) < 0.01 * pt_.fabric_rate_bps) {
+        std::abs(demand - reported) < 0.01 * ss.parent->uplink_bps) {
       continue;
     }
     reported = demand;
     auto p = net::make_control_packet(net::PacketType::kArbReport, 0,
-                                      ts.tor->id(), ts.agg->id());
+                                      ss.sw->id(), ss.parent->sw->id());
     p->ecn_capable = false;
     p->priority = 0;
     p->arb.receiver_half = down;
     p->arb.report_demand = demand;
-    ++ts.stats.delegation_msgs;
-    send_from_switch(ts.stats, *ts.tor, std::move(p));
+    ++ss.stats.delegation_msgs;
+    send_from_switch(ss.stats, *ss.sw, std::move(p));
   }
 }
 
-double ArbitrationPlane::recompute_share(AggState& as, net::NodeId child,
-                                         bool down) const {
-  const auto& demands = down ? as.demand_down : as.demand_up;
-  const double floor_w = cfg_.delegation_min_share * pt_.fabric_rate_bps;
+double ArbitrationPlane::recompute_share(const SwitchState& ss,
+                                         net::NodeId child, bool down) const {
+  const auto& demands = down ? ss.demand_down : ss.demand_up;
+  const double floor_w = cfg_.delegation_min_share * ss.uplink_bps;
   double total = 0.0;
   for (const auto& [id, d] : demands) total += std::max(d, floor_w);
-  if (total <= 0.0) return pt_.fabric_rate_bps / demands.size();
-  return pt_.fabric_rate_bps * std::max(demands.at(child), floor_w) / total;
+  if (total <= 0.0) return ss.uplink_bps / demands.size();
+  return ss.uplink_bps * std::max(demands.at(child), floor_w) / total;
 }
 
-void ArbitrationPlane::handle_report_at_agg(AggState& as,
-                                            const net::Packet& p) {
+void ArbitrationPlane::handle_report(SwitchState& ss, const net::Packet& p) {
   const bool down = p.arb.receiver_half;
-  auto& demands = down ? as.demand_down : as.demand_up;
+  auto& demands = down ? ss.demand_down : ss.demand_up;
   demands[p.src] = p.arb.report_demand;
   auto grant = net::make_control_packet(net::PacketType::kArbDelegate, 0,
-                                        as.agg->id(), p.src);
+                                        ss.sw->id(), p.src);
   grant->ecn_capable = false;
   grant->priority = 0;
   grant->arb.receiver_half = down;
   grant->arb.granted_capacity =
-      recompute_share(as, p.src, down) * cfg_.delegation_overcommit;
-  ++as.stats.delegation_msgs;
-  send_from_switch(as.stats, *as.agg, std::move(grant));
+      recompute_share(ss, p.src, down) * cfg_.delegation_overcommit;
+  ++ss.stats.delegation_msgs;
+  send_from_switch(ss.stats, *ss.sw, std::move(grant));
 }
 
-void ArbitrationPlane::handle_grant_at_tor(TorState& ts,
-                                           const net::Packet& p) {
+void ArbitrationPlane::handle_grant(SwitchState& ss, const net::Packet& p) {
   LinkArbitrator* virt =
-      p.arb.receiver_half ? ts.virt_down.get() : ts.virt_up.get();
+      p.arb.receiver_half ? ss.virt_down.get() : ss.virt_up.get();
   if (virt != nullptr) virt->table().set_capacity(p.arb.granted_capacity);
 }
 
@@ -559,21 +484,16 @@ void ArbitrationPlane::handle_grant_at_tor(TorState& ts,
 const ControlPlaneStats& ArbitrationPlane::stats() const {
   folded_ = ControlPlaneStats{};
   for (const auto& [id, hs] : host_states_) folded_ += hs.stats;
-  for (const auto& [id, ts] : tor_states_) folded_ += ts.stats;
-  for (const auto& [id, as] : agg_states_) folded_ += as.stats;
+  for (const auto& [id, ss] : switch_states_) folded_ += ss.stats;
   return folded_;
 }
 
 // ---------------------------------------------------------------------------
 // Introspection
 
-LinkArbitrator* ArbitrationPlane::tor_up_arbitrator(net::NodeId tor) {
-  auto it = tor_states_.find(tor);
-  return it == tor_states_.end() ? nullptr : it->second.up.get();
-}
-LinkArbitrator* ArbitrationPlane::agg_up_arbitrator(net::NodeId agg) {
-  auto it = agg_states_.find(agg);
-  return it == agg_states_.end() ? nullptr : it->second.up.get();
+LinkArbitrator* ArbitrationPlane::up_arbitrator(net::NodeId sw) {
+  auto it = switch_states_.find(sw);
+  return it == switch_states_.end() ? nullptr : it->second.up.get();
 }
 
 }  // namespace pase::core

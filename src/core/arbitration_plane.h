@@ -3,9 +3,13 @@
 // One arbitrator per directed link, arranged bottom-up over the tree:
 //   - access links (host<->ToR) are arbitrated at the endpoints themselves,
 //     so intra-rack flows never leave the hosts for arbitration;
-//   - ToR<->Agg links are arbitrated at the ToR switch;
-//   - Agg<->Core links are arbitrated at the Agg switch, unless delegation
-//     hands shares ("virtual links") of them down to the ToR arbitrators.
+//   - a switch arbitrates the link pair above it (its first port one tier
+//     up, read from topo::Topology): a ToR its ToR<->Agg pair, the agg above
+//     it its Agg<->Core pair, unless delegation hands shares ("virtual
+//     links") of the latter down to the ToR arbitrators.
+// Every switch runs the same handlers over the same state; a ToR differs
+// from an agg only in having a parent to forward to. Each arbitrator's
+// capacity is the rate of the link it arbitrates.
 //
 // A flow's source arbitrates the sender half of the path (its uplink upward);
 // the receiver half is driven by arriving data at the destination, whose
@@ -23,7 +27,7 @@
 //
 // Sharding: the plane is one object, but all of its mutable state is owned
 // by the node it lives at — per-host flow/client tables and access-link
-// arbitrators, per-ToR and per-Agg fabric arbitrators and delegation state.
+// arbitrators, per-switch fabric arbitrators and delegation state.
 // A handler running at a node reads and writes only that node's state plus
 // the packet it was handed; every arbitration message carries the flow's
 // full identity (ArbHeader src_host/dst_host/task_id/deadline/flow_size) so
@@ -44,17 +48,11 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "core/control_stats.h"
 #include "core/link_arbitrator.h"
-#include "topo/single_rack.h"
-#include "topo/three_tier.h"
+#include "topo/topology.h"
 #include "transport/receiver.h"
-
-namespace pase::topo {
-class BuiltTopology;
-}
 
 namespace pase::core {
 
@@ -66,24 +64,6 @@ class ArbitrationClient {
                                   bool receiver_half) = 0;
 };
 
-// What the plane needs to know about the tree.
-struct PlaneTopology {
-  topo::Topology* topo = nullptr;
-  struct HostInfo {
-    net::Host* host = nullptr;
-    net::Switch* tor = nullptr;
-    net::Switch* agg = nullptr;  // nullptr in single-rack topologies
-  };
-  std::unordered_map<net::NodeId, HostInfo> hosts;  // by host node id
-  double host_rate_bps = 1e9;
-  double fabric_rate_bps = 10e9;
-
-  static PlaneTopology from(topo::ThreeTier& tt);
-  static PlaneTopology from(topo::SingleRack& rack);
-  // Generic form: any BuiltTopology that reports per-host ToR/Agg attachment.
-  static PlaneTopology from(topo::BuiltTopology& built);
-};
-
 class ArbitrationPlane {
  public:
   // Maps a node id to the simulator its domain runs on. Sequential runs map
@@ -91,10 +71,10 @@ class ArbitrationPlane {
   // domain's clock so host timers and delegation timers fire locally.
   using SimResolver = std::function<sim::Simulator&(net::NodeId)>;
 
-  ArbitrationPlane(const SimResolver& sim_of, PlaneTopology pt,
+  ArbitrationPlane(const SimResolver& sim_of, topo::Topology& topo,
                    PaseConfig cfg);
   // Single-clock convenience form (sequential runs, unit tests).
-  ArbitrationPlane(sim::Simulator& sim, PlaneTopology pt, PaseConfig cfg);
+  ArbitrationPlane(sim::Simulator& sim, topo::Topology& topo, PaseConfig cfg);
 
   const PaseConfig& config() const { return cfg_; }
   // Folds the per-node shard counters into one total (all fields are
@@ -107,9 +87,7 @@ class ArbitrationPlane {
   // numbers its flow launches past this count, so at any instant the timers'
   // first firings precede launches, as they would if every launch were
   // scheduled before the run.
-  std::uint32_t setup_events() const {
-    return static_cast<std::uint32_t>(delegation_tors_.size());
-  }
+  std::uint32_t setup_events() const { return delegation_timers_; }
 
   // --- sender side -----------------------------------------------------------
   // Registers the flow and performs the first (host-local) arbitration pass.
@@ -133,36 +111,41 @@ class ArbitrationPlane {
   void attach_receiver(transport::Receiver& receiver);
 
   // --- introspection ---------------------------------------------------------
-  LinkArbitrator* tor_up_arbitrator(net::NodeId tor);
-  LinkArbitrator* agg_up_arbitrator(net::NodeId agg);
+  // The arbitrator of the link above switch `sw` (nullptr when the plane
+  // arbitrates none there).
+  LinkArbitrator* up_arbitrator(net::NodeId sw);
 
  private:
-  struct TorState {
-    net::Switch* tor = nullptr;
-    net::Switch* agg = nullptr;  // parent (nullptr in single-rack)
-    sim::Simulator* sim = nullptr;  // the ToR's domain clock
+  // An arbitrating switch: a host's ToR, or the agg above such a ToR.
+  struct SwitchState {
+    net::Switch* sw = nullptr;
+    // The switch a ToR forwards to; nullptr at the top (an agg, or a rack's
+    // ToR). Handlers read only its immutable sw and uplink_bps.
+    const SwitchState* parent = nullptr;
+    sim::Simulator* sim = nullptr;  // the switch's domain clock
     ControlPlaneStats stats;        // this shard's share of the counters
-    std::unique_ptr<LinkArbitrator> up;    // ToR -> Agg
-    std::unique_ptr<LinkArbitrator> down;  // Agg -> ToR
-    // Delegated shares of the Agg<->Core links (§3.1.2 delegation).
+    // The link pair above the switch, present iff it has a link one tier
+    // up; uplink_bps is that link's rate (0 without one).
+    double uplink_bps = 0.0;
+    std::unique_ptr<LinkArbitrator> up;
+    std::unique_ptr<LinkArbitrator> down;
+    // Delegated shares of the parent's links (§3.1.2 delegation).
     std::unique_ptr<LinkArbitrator> virt_up;
     std::unique_ptr<LinkArbitrator> virt_down;
-    // Last demands reported upward; unchanged demand sends no report.
+    // Last demands reported to the parent; unchanged demand sends no report.
     double reported_up = -1.0;
     double reported_down = -1.0;
-  };
-  struct AggState {
-    net::Switch* agg = nullptr;
-    sim::Simulator* sim = nullptr;
-    ControlPlaneStats stats;
-    std::unique_ptr<LinkArbitrator> up;    // Agg -> Core
-    std::unique_ptr<LinkArbitrator> down;  // Core -> Agg
-    // Last reported top-queue demand per child ToR, per direction.
+    // On a parent: last reported top-queue demand per child, per direction.
     std::unordered_map<net::NodeId, double> demand_up;
     std::unordered_map<net::NodeId, double> demand_down;
   };
   struct HostState {
-    PlaneTopology::HostInfo info;
+    net::Host* host = nullptr;
+    // Fixed at construction, so any domain may read them (same_rack and
+    // same_agg_hdr compare the two ends of a flow).
+    net::Switch* tor = nullptr;
+    net::Switch* agg = nullptr;  // nullptr under a rack's ToR
+    double nic_bps = 0.0;        // capacity of both access links
     sim::Simulator* sim = nullptr;
     ControlPlaneStats stats;
     std::unique_ptr<LinkArbitrator> up;    // host -> ToR
@@ -193,10 +176,8 @@ class ArbitrationPlane {
   void on_host_control(net::NodeId host, net::PacketPtr p);
   void on_switch_control(net::Switch* sw, net::PacketPtr p);
 
-  void handle_request_at_tor(TorState& ts, net::PacketPtr p);
-  void handle_request_at_agg(AggState& as, net::PacketPtr p);
-  void handle_fin_at_tor(TorState& ts, net::PacketPtr p);
-  void handle_fin_at_agg(AggState& as, net::PacketPtr p);
+  void handle_request(SwitchState& ss, net::PacketPtr p);
+  void handle_fin(SwitchState& ss, net::PacketPtr p);
   // Turns the request around toward arb.src_host, sending from `sw`.
   void respond(ControlPlaneStats& st, net::Switch& sw, net::PacketPtr request);
 
@@ -205,20 +186,23 @@ class ArbitrationPlane {
   void receiver_finished(const transport::Flow& flow);
 
   // Delegation.
-  // One delegation period at a ToR: report its demand, then re-arm.
-  void delegation_tick(TorState& ts);
-  void send_delegation_report(TorState& ts);
-  void handle_report_at_agg(AggState& as, const net::Packet& p);
-  void handle_grant_at_tor(TorState& ts, const net::Packet& p);
-  double recompute_share(AggState& as, net::NodeId child, bool down) const;
+  // One delegation period at a child: report its demand, then re-arm.
+  void delegation_tick(SwitchState& ss);
+  void send_delegation_report(SwitchState& ss);
+  void handle_report(SwitchState& ss, const net::Packet& p);
+  void handle_grant(SwitchState& ss, const net::Packet& p);
+  double recompute_share(const SwitchState& ss, net::NodeId child,
+                         bool down) const;
 
-  PlaneTopology pt_;
+  // The state of `sw`, made on first use: its clock, its control handler
+  // and the arbitrators of the link above it.
+  SwitchState& switch_state(const SimResolver& sim_of,
+                            const topo::Topology& topo, net::Switch& sw);
+
   PaseConfig cfg_;
   std::unordered_map<net::NodeId, HostState> host_states_;
-  std::unordered_map<net::NodeId, TorState> tor_states_;
-  std::unordered_map<net::NodeId, AggState> agg_states_;
-  // ToRs with delegation timers, sorted by node id (the scheduling order).
-  std::vector<net::NodeId> delegation_tors_;
+  std::unordered_map<net::NodeId, SwitchState> switch_states_;
+  std::uint32_t delegation_timers_ = 0;
   mutable ControlPlaneStats folded_;  // stats() scratch
 };
 

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <thread>
 #include <utility>
+
+#include "obs/json.h"
 
 namespace pase::exp {
 
@@ -69,53 +69,11 @@ std::vector<workload::ScenarioResult> SweepRunner::run(
 
 namespace {
 
-// Shortest round-trippable representation of a double; JSON-safe (inf/nan
-// become null, which the schema allows for undefined metrics).
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Trim to the shortest form that still parses back exactly.
-  for (int prec = 1; prec < 17; ++prec) {
-    char probe[32];
-    std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
-    if (std::strtod(probe, nullptr) == v) {
-      std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-      break;
-    }
-  }
-  out += buf;
-}
-
-void append_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void append_field(std::string& out, const char* key, double v) {
   out += '"';
   out += key;
   out += "\": ";
-  append_number(out, v);
+  obs::append_json_number(out, v);
 }
 
 }  // namespace
@@ -127,19 +85,19 @@ std::string scenario_record(
   std::string out;
   out.reserve(512);
   out += "{\"label\": ";
-  append_string(out, c.label);
+  obs::append_json_string(out, c.label);
   out += ", \"protocol\": ";
-  append_string(out, workload::protocol_name(c.config.protocol));
+  obs::append_json_string(out, workload::protocol_name(c.config.protocol));
   out += ", \"topology\": ";
   switch (c.config.topology) {
     case workload::ScenarioConfig::TopologyKind::kSingleRack:
-      append_string(out, "single_rack");
+      obs::append_json_string(out, "single_rack");
       break;
     case workload::ScenarioConfig::TopologyKind::kFatTree:
-      append_string(out, "fat_tree");
+      obs::append_json_string(out, "fat_tree");
       break;
     case workload::ScenarioConfig::TopologyKind::kThreeTier:
-      append_string(out, "three_tier");
+      obs::append_json_string(out, "three_tier");
       break;
   }
   out += ", ";
@@ -151,7 +109,7 @@ std::string scenario_record(
   out += ", ";
   append_field(out, "fct_p99_s", r.fct_p99());
   out += ", ";
-  append_field(out, "app_throughput_bps", r.app_throughput());
+  append_field(out, "app_throughput", r.app_throughput());
   out += ", ";
   append_field(out, "loss_rate", r.loss_rate());
   out += ", \"unfinished\": " + std::to_string(r.unfinished());
@@ -165,18 +123,18 @@ std::string scenario_record(
   append_field(out, "end_time_s", r.end_time);
   out += ", \"workers_used\": " + std::to_string(r.workers_used);
   out += ", \"parallel_fallback_reason\": ";
-  append_string(out, r.parallel_fallback_reason);
+  obs::append_json_string(out, r.parallel_fallback_reason);
   out += ", \"metrics\": {";
   for (std::size_t m = 0; m < r.metrics.size(); ++m) {
     if (m > 0) out += ", ";
-    append_string(out, r.metrics[m].name);
+    obs::append_json_string(out, r.metrics[m].name);
     out += ": ";
-    append_number(out, r.metrics[m].value);
+    obs::append_json_number(out, r.metrics[m].value);
   }
   out += '}';
   for (const auto& [key, value] : counts) {
     out += ", ";
-    append_string(out, key);
+    obs::append_json_string(out, key);
     out += ": " + std::to_string(value);
   }
   for (const auto& [key, value] : measures) {
@@ -191,7 +149,7 @@ std::string sweep_document(const std::string& name,
                            const std::vector<std::string>& records) {
   std::string out;
   out += "{\n  \"name\": ";
-  append_string(out, name);
+  obs::append_json_string(out, name);
   out += ",\n  \"scenarios\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     out += "    ";

@@ -1,12 +1,10 @@
 #include "obs/telemetry.h"
 
-#include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 
 #include "net/link.h"
 #include "net/queue.h"
+#include "obs/json.h"
 
 namespace pase::obs {
 
@@ -67,7 +65,7 @@ std::vector<SpaceSavingSketch::Item> SpaceSavingSketch::top(
 // ---------------------------------------------------------------------------
 // TelemetryPlane
 
-TelemetryPlane::TelemetryPlane(topo::BuiltTopology& built,
+TelemetryPlane::TelemetryPlane(topo::Topology& topo,
                                const TelemetryConfig& cfg)
     : cfg_(cfg),
       link_sketch_(cfg.sketch_entries),
@@ -75,28 +73,23 @@ TelemetryPlane::TelemetryPlane(topo::BuiltTopology& built,
   PASE_DCHECK(cfg_.sample_period > 0 && "telemetry needs a positive period");
   if (cfg_.samples_per_window < 1) cfg_.samples_per_window = 1;
 
-  topo::Topology& topo = built.topo();
   names_ = label_fabric_queues(topo);
-  const std::vector<topo::QueueClass> classes = built.queue_classes();
-  PASE_DCHECK(classes.size() == names_.size() &&
-              "queue classes disagree with queue labels");
 
-  // Group ids: the four tiers first (dense, whether present or not would
-  // waste rows — only tiers that actually occur get a group), then pods in
-  // ascending order. Group order is structural, never sample-dependent.
+  // Group ids: the tiers that actually occur first (in tier order), then
+  // pods in ascending order. Group order is structural, never
+  // sample-dependent.
   int max_pod = -1;
-  bool tier_present[4] = {false, false, false, false};
-  for (const topo::QueueClass& c : classes) {
-    tier_present[static_cast<int>(c.tier)] = true;
-    max_pod = std::max(max_pod, c.pod);
-  }
-  std::uint16_t tier_group[4] = {0, 0, 0, 0};
-  for (int t = 0; t < 4; ++t) {
+  bool tier_present[topo::kNumTiers] = {};
+  topo.for_each_queue([&](net::NodeId owner, net::Queue&) {
+    tier_present[static_cast<int>(topo.tier(owner))] = true;
+    max_pod = std::max(max_pod, topo.partition_group(owner));
+  });
+  std::uint16_t tier_group[topo::kNumTiers] = {};
+  for (int t = 0; t < topo::kNumTiers; ++t) {
     if (!tier_present[t]) continue;
     tier_group[t] = static_cast<std::uint16_t>(group_names_.size());
-    group_names_.push_back(
-        std::string("tier:") +
-        topo::link_tier_name(static_cast<topo::LinkTier>(t)));
+    group_names_.push_back(std::string("tier:") +
+                           topo::tier_name(static_cast<topo::Tier>(t)));
   }
   const std::size_t first_pod_group = group_names_.size();
   for (int p = 0; p <= max_pod; ++p) {
@@ -104,18 +97,15 @@ TelemetryPlane::TelemetryPlane(topo::BuiltTopology& built,
   }
 
   queues_.reserve(names_.size());
-  std::size_t i = 0;
-  topo.for_each_queue([&](net::Queue& q) {
+  topo.for_each_queue([&](net::NodeId owner, net::Queue& q) {
     QueueState qs;
     qs.queue = &q;
     qs.link = q.link();
-    const topo::QueueClass& c = classes[i];
-    qs.tier_group = tier_group[static_cast<int>(c.tier)];
-    qs.pod_group = c.pod < 0 ? std::int16_t{-1}
-                             : static_cast<std::int16_t>(first_pod_group +
-                                                         c.pod);
+    qs.tier_group = tier_group[static_cast<int>(topo.tier(owner))];
+    const int pod = topo.partition_group(owner);
+    qs.pod_group = pod < 0 ? std::int16_t{-1}
+                           : static_cast<std::int16_t>(first_pod_group + pod);
     queues_.push_back(qs);
-    ++i;
   });
   PASE_DCHECK(queues_.size() == names_.size());
 
@@ -321,56 +311,6 @@ const std::string* TelemetryPlane::busiest() const {
 // ---------------------------------------------------------------------------
 // JSONL sink
 
-namespace {
-
-// Shortest round-trippable representation of a double (same idiom as the
-// sweep/trace sinks): deterministic bytes for identical values.
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  for (int prec = 1; prec < 17; ++prec) {
-    char probe[32];
-    std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
-    if (std::strtod(probe, nullptr) == v) {
-      std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-      break;
-    }
-  }
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void append_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
 std::string TelemetrySummary::to_jsonl() const {
   std::string out;
   out.reserve(256 + windows.size() * 192 + totals.size() * 160);
@@ -378,109 +318,110 @@ std::string TelemetrySummary::to_jsonl() const {
   out += "{\"schema\":\"";
   out += kTelemetrySchemaName;
   out += "\",\"version\":";
-  append_u64(out, static_cast<std::uint64_t>(kTelemetrySchemaVersion));
+  append_json_uint(out, static_cast<std::uint64_t>(kTelemetrySchemaVersion));
   out += ",\"period\":";
-  append_number(out, sample_period);
+  append_json_number(out, sample_period);
   out += ",\"samples_per_window\":";
-  append_u64(out, static_cast<std::uint64_t>(samples_per_window));
+  append_json_uint(out, static_cast<std::uint64_t>(samples_per_window));
   out += ",\"samples\":";
-  append_u64(out, samples);
+  append_json_uint(out, samples);
   out += ",\"end_time\":";
-  append_number(out, end_time);
+  append_json_number(out, end_time);
   out += ",\"queues\":";
-  append_u64(out, num_queues);
+  append_json_uint(out, num_queues);
   out += ",\"groups\":";
-  append_u64(out, group_names.size());
+  append_json_uint(out, group_names.size());
   out += ",\"windows\":";
-  append_u64(out, windows.empty() ? 0 : windows.size() / group_names.size());
+  append_json_uint(out,
+                   windows.empty() ? 0 : windows.size() / group_names.size());
   out += ",\"top_k\":";
-  append_u64(out, std::max(hot_links.size(), hot_flows.size()));
+  append_json_uint(out, std::max(hot_links.size(), hot_flows.size()));
   out += "}\n";
 
   for (std::size_t g = 0; g < group_names.size(); ++g) {
     out += "{\"type\":\"group\",\"id\":";
-    append_u64(out, g);
+    append_json_uint(out, g);
     out += ",\"name\":";
-    append_string(out, group_names[g]);
+    append_json_string(out, group_names[g]);
     out += "}\n";
   }
 
   for (const TelemetryWindowRow& w : windows) {
     out += "{\"type\":\"window\",\"w\":";
-    append_u64(out, w.window);
+    append_json_uint(out, w.window);
     out += ",\"group\":";
-    append_u64(out, w.group);
+    append_json_uint(out, w.group);
     out += ",\"t0\":";
-    append_number(out, w.t0);
+    append_json_number(out, w.t0);
     out += ",\"t1\":";
-    append_number(out, w.t1);
+    append_json_number(out, w.t1);
     out += ",\"samples\":";
-    append_u64(out, w.samples);
+    append_json_uint(out, w.samples);
     out += ",\"util_mean\":";
-    append_number(out, w.util_mean);
+    append_json_number(out, w.util_mean);
     out += ",\"util_max\":";
-    append_number(out, w.util_max);
+    append_json_number(out, w.util_max);
     out += ",\"util_p99\":";
-    append_number(out, w.util_p99);
+    append_json_number(out, w.util_p99);
     out += ",\"depth_mean\":";
-    append_number(out, w.depth_mean);
+    append_json_number(out, w.depth_mean);
     out += ",\"depth_max\":";
-    append_u64(out, w.depth_max);
+    append_json_uint(out, w.depth_max);
     out += ",\"depth_p99\":";
-    append_number(out, w.depth_p99);
+    append_json_number(out, w.depth_p99);
     out += ",\"drops\":";
-    append_u64(out, w.drops);
+    append_json_uint(out, w.drops);
     out += ",\"marks\":";
-    append_u64(out, w.marks);
+    append_json_uint(out, w.marks);
     out += ",\"bytes\":";
-    append_u64(out, w.bytes);
+    append_json_uint(out, w.bytes);
     out += "}\n";
   }
 
   for (const TelemetryGroupTotal& t : totals) {
     out += "{\"type\":\"total\",\"group\":";
-    append_u64(out, t.group);
+    append_json_uint(out, t.group);
     out += ",\"samples\":";
-    append_u64(out, t.samples);
+    append_json_uint(out, t.samples);
     out += ",\"util_mean\":";
-    append_number(out, t.util_mean);
+    append_json_number(out, t.util_mean);
     out += ",\"util_max\":";
-    append_number(out, t.util_max);
+    append_json_number(out, t.util_max);
     out += ",\"util_p99\":";
-    append_number(out, t.util_p99);
+    append_json_number(out, t.util_p99);
     out += ",\"depth_mean\":";
-    append_number(out, t.depth_mean);
+    append_json_number(out, t.depth_mean);
     out += ",\"depth_max\":";
-    append_u64(out, t.depth_max);
+    append_json_uint(out, t.depth_max);
     out += ",\"drops\":";
-    append_u64(out, t.drops);
+    append_json_uint(out, t.drops);
     out += ",\"marks\":";
-    append_u64(out, t.marks);
+    append_json_uint(out, t.marks);
     out += ",\"bytes\":";
-    append_u64(out, t.bytes);
+    append_json_uint(out, t.bytes);
     out += "}\n";
   }
 
   for (std::size_t r = 0; r < hot_links.size(); ++r) {
     out += "{\"type\":\"hot_link\",\"rank\":";
-    append_u64(out, r);
+    append_json_uint(out, r);
     out += ",\"name\":";
-    append_string(out, hot_links[r].name);
+    append_json_string(out, hot_links[r].name);
     out += ",\"bytes\":";
-    append_u64(out, hot_links[r].bytes);
+    append_json_uint(out, hot_links[r].bytes);
     out += ",\"error\":";
-    append_u64(out, hot_links[r].error);
+    append_json_uint(out, hot_links[r].error);
     out += "}\n";
   }
   for (std::size_t r = 0; r < hot_flows.size(); ++r) {
     out += "{\"type\":\"hot_flow\",\"rank\":";
-    append_u64(out, r);
+    append_json_uint(out, r);
     out += ",\"flow\":";
-    append_u64(out, hot_flows[r].key);
+    append_json_uint(out, hot_flows[r].key);
     out += ",\"bytes\":";
-    append_u64(out, hot_flows[r].bytes);
+    append_json_uint(out, hot_flows[r].bytes);
     out += ",\"error\":";
-    append_u64(out, hot_flows[r].error);
+    append_json_uint(out, hot_flows[r].error);
     out += "}\n";
   }
   return out;

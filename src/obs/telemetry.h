@@ -39,7 +39,6 @@
 #include "sim/dcheck.h"
 #include "sim/simulator.h"
 #include "stats/streaming.h"
-#include "topo/builder.h"
 #include "topo/topology.h"
 
 namespace pase::obs {
@@ -60,7 +59,8 @@ inline std::vector<std::string> label_fabric_queues(topo::Topology& topo) {
     }
   }
   std::uint32_t i = 0;
-  topo.for_each_queue([&i](net::Queue& q) { q.set_trace_id(i++); });
+  topo.for_each_queue(
+      [&i](net::NodeId, net::Queue& q) { q.set_trace_id(i++); });
   PASE_DCHECK(i == names.size() && "queue walk disagrees with labels");
   return names;
 }
@@ -211,10 +211,11 @@ struct TelemetrySummary {
 
 // The sampling plane. Construct over a built topology and call sample() on
 // the grid at quiescent instants; finish() flushes the trailing partial
-// window and renders the summary.
+// window and renders the summary. A queue's groups are the tier and pod of
+// the node that transmits from it.
 class TelemetryPlane {
  public:
-  TelemetryPlane(topo::BuiltTopology& built, const TelemetryConfig& cfg);
+  TelemetryPlane(topo::Topology& topo, const TelemetryConfig& cfg);
 
   sim::Time sample_period() const { return cfg_.sample_period; }
   std::uint64_t samples_taken() const { return samples_; }

@@ -1,61 +1,21 @@
 #include "obs/trace_sink.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+
+#include "obs/json.h"
 
 namespace pase::obs {
 
 namespace {
 
-// Shortest round-trippable representation of a double (same approach as
-// exp's sweep_to_json; duplicated because obs sits below exp). Deterministic
-// for a given value, so serialized traces are byte-comparable.
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  for (int prec = 1; prec < 17; ++prec) {
-    char probe[32];
-    std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
-    if (std::strtod(probe, nullptr) == v) {
-      std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-      break;
-    }
-  }
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-// Queue names come from Link names (letters, digits, '.', '-', '>'), so a
-// plain copy with the two JSON-critical escapes is sufficient.
-void append_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
 void append_queue_name(std::string& out, const Trace& tr, std::uint32_t id) {
   if (id < tr.queue_names.size()) {
-    append_string(out, tr.queue_names[id]);
+    append_json_string(out, tr.queue_names[id]);
   } else {
     out += "\"q";
-    append_u64(out, id);
+    append_json_uint(out, id);
     out += '"';
   }
 }
@@ -94,118 +54,118 @@ std::string Trace::to_jsonl() const {
   out += "{\"schema\":\"";
   out += kTraceSchemaName;
   out += "\",\"version\":";
-  append_u64(out, kTraceSchemaVersion);
+  append_json_uint(out, kTraceSchemaVersion);
   out += ",\"categories\":";
-  append_string(out, categories_string(categories));
+  append_json_string(out, categories_string(categories));
   out += ",\"events\":";
-  append_u64(out, events.size());
+  append_json_uint(out, events.size());
   out += ",\"dropped\":";
-  append_u64(out, dropped);
+  append_json_uint(out, dropped);
   out += "}\n";
 
   for (const TraceEvent& e : events) {
     out += "{\"t\":";
-    append_number(out, e.t);
+    append_json_number(out, e.t);
     out += ",\"type\":\"";
     out += type_name(e.type);
     out += '"';
     switch (e.type) {
       case EventType::kFlowStart:
         out += ",\"flow\":";
-        append_u64(out, e.flow);
+        append_json_uint(out, e.flow);
         out += ",\"size\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         out += ",\"deadline\":";
-        append_number(out, e.v1);
+        append_json_number(out, e.v1);
         break;
       case EventType::kFlowFirstByte:
         out += ",\"flow\":";
-        append_u64(out, e.flow);
+        append_json_uint(out, e.flow);
         break;
       case EventType::kFlowComplete:
         out += ",\"flow\":";
-        append_u64(out, e.flow);
+        append_json_uint(out, e.flow);
         out += ",\"fct\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         break;
       case EventType::kFlowDeadlineMiss:
         out += ",\"flow\":";
-        append_u64(out, e.flow);
+        append_json_uint(out, e.flow);
         out += ",\"late_by\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         break;
       case EventType::kPktDrop:
       case EventType::kPktEcnMark:
         out += ",\"flow\":";
-        append_u64(out, e.flow);
+        append_json_uint(out, e.flow);
         out += ",\"seq\":";
-        append_u64(out, e.a);
+        append_json_uint(out, e.a);
         out += ",\"queue\":";
         append_queue_name(out, *this, e.b);
         out += ",\"bytes\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         break;
       case EventType::kArbDecision:
         out += ",\"flow\":";
-        append_u64(out, e.flow);
+        append_json_uint(out, e.flow);
         out += ",\"prio\":";
-        append_u64(out, e.a);
+        append_json_uint(out, e.a);
         out += ",\"half\":\"";
         out += (e.b == 0 ? "src" : "rx");
         out += "\",\"rref\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         break;
       case EventType::kCwndSample:
         out += ",\"flow\":";
-        append_u64(out, e.flow);
+        append_json_uint(out, e.flow);
         out += ",\"cwnd\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         out += ",\"srtt\":";
-        append_number(out, e.v1);
+        append_json_number(out, e.v1);
         break;
       case EventType::kAlphaSample:
         out += ",\"flow\":";
-        append_u64(out, e.flow);
+        append_json_uint(out, e.flow);
         out += ",\"alpha\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         out += ",\"frac\":";
-        append_number(out, e.v1);
+        append_json_number(out, e.v1);
         break;
       case EventType::kRateSample:
         out += ",\"flow\":";
-        append_u64(out, e.flow);
+        append_json_uint(out, e.flow);
         out += ",\"rate\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         out += ",\"paused\":";
-        append_u64(out, e.a);
+        append_json_uint(out, e.a);
         break;
       case EventType::kQueueSample:
         out += ",\"queue\":";
         append_queue_name(out, *this, e.a);
         out += ",\"occupancy\":";
-        append_u64(out, e.b);
+        append_json_uint(out, e.b);
         out += ",\"drops\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         out += ",\"marks\":";
-        append_number(out, e.v1);
+        append_json_number(out, e.v1);
         break;
       case EventType::kEngineSample:
         out += ",\"domain\":";
-        append_u64(out, e.a);
+        append_json_uint(out, e.a);
         out += ",\"events\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         out += ",\"heap_closures\":";
-        append_number(out, e.v1);
+        append_json_number(out, e.v1);
         break;
       case EventType::kParallelRound:
         out += ",\"rounds\":";
-        append_u64(out, e.a);
+        append_json_uint(out, e.a);
         out += ",\"posts\":";
-        append_u64(out, e.b);
+        append_json_uint(out, e.b);
         out += ",\"horizon\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         out += ",\"drains\":";
-        append_number(out, e.v1);
+        append_json_number(out, e.v1);
         break;
     }
     out += "}\n";
@@ -225,11 +185,12 @@ std::string Trace::to_chrome_json() const {
     out += "\n{\"ph\":\"";
     out += ph;
     out += "\",\"name\":";
-    append_string(out, name);
+    append_json_string(out, name);
     out += ",\"cat\":\"";
     out += cat;
     out += "\",\"pid\":0,\"tid\":0,\"ts\":";
-    append_number(out, t * 1e6);  // trace_event timestamps are microseconds
+    // trace_event timestamps are microseconds
+    append_json_number(out, t * 1e6);
   };
   const auto flow_name = [](std::uint64_t id) {
     return "flow " + std::to_string(id);
@@ -244,24 +205,24 @@ std::string Trace::to_chrome_json() const {
       case EventType::kFlowStart:
         begin_record("b", flow_name(e.flow), "flow", e.t);
         out += ",\"id\":";
-        append_u64(out, e.flow);
+        append_json_uint(out, e.flow);
         out += ",\"args\":{\"size\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         out += "}}";
         break;
       case EventType::kFlowComplete:
         begin_record("e", flow_name(e.flow), "flow", e.t);
         out += ",\"id\":";
-        append_u64(out, e.flow);
+        append_json_uint(out, e.flow);
         out += ",\"args\":{\"fct\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         out += "}}";
         break;
       case EventType::kFlowFirstByte:
       case EventType::kFlowDeadlineMiss:
         begin_record("i", type_name(e.type), "flow", e.t);
         out += ",\"s\":\"t\",\"args\":{\"flow\":";
-        append_u64(out, e.flow);
+        append_json_uint(out, e.flow);
         out += "}}";
         break;
       case EventType::kPktDrop:
@@ -269,17 +230,17 @@ std::string Trace::to_chrome_json() const {
         begin_record("i", std::string(type_name(e.type)) + " @ " +
                               queue_name(e.b), "packet", e.t);
         out += ",\"s\":\"t\",\"args\":{\"flow\":";
-        append_u64(out, e.flow);
+        append_json_uint(out, e.flow);
         out += ",\"seq\":";
-        append_u64(out, e.a);
+        append_json_uint(out, e.a);
         out += "}}";
         break;
       case EventType::kArbDecision:
         begin_record("i", "arb " + flow_name(e.flow), "arb", e.t);
         out += ",\"s\":\"t\",\"args\":{\"prio\":";
-        append_u64(out, e.a);
+        append_json_uint(out, e.a);
         out += ",\"rref\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         out += "}}";
         break;
       case EventType::kCwndSample:
@@ -287,7 +248,7 @@ std::string Trace::to_chrome_json() const {
                       static_cast<unsigned long long>(e.flow));
         begin_record("C", buf, "endpoint", e.t);
         out += ",\"args\":{\"cwnd\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         out += "}}";
         break;
       case EventType::kAlphaSample:
@@ -295,7 +256,7 @@ std::string Trace::to_chrome_json() const {
                       static_cast<unsigned long long>(e.flow));
         begin_record("C", buf, "endpoint", e.t);
         out += ",\"args\":{\"alpha\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         out += "}}";
         break;
       case EventType::kRateSample:
@@ -303,33 +264,33 @@ std::string Trace::to_chrome_json() const {
                       static_cast<unsigned long long>(e.flow));
         begin_record("C", buf, "endpoint", e.t);
         out += ",\"args\":{\"rate_bps\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         out += "}}";
         break;
       case EventType::kQueueSample:
         begin_record("C", queue_name(e.a) + ".occupancy", "queue", e.t);
         out += ",\"args\":{\"pkts\":";
-        append_u64(out, e.b);
+        append_json_uint(out, e.b);
         out += "}}";
         break;
       case EventType::kEngineSample:
         begin_record("i", "engine.sample", "engine", e.t);
         out += ",\"s\":\"g\",\"args\":{\"domain\":";
-        append_u64(out, e.a);
+        append_json_uint(out, e.a);
         out += ",\"events\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         out += "}}";
         break;
       case EventType::kParallelRound:
         begin_record("i", "engine.round", "engine", e.t);
         out += ",\"s\":\"g\",\"args\":{\"rounds\":";
-        append_u64(out, e.a);
+        append_json_uint(out, e.a);
         out += ",\"posts\":";
-        append_u64(out, e.b);
+        append_json_uint(out, e.b);
         out += ",\"horizon\":";
-        append_number(out, e.v0);
+        append_json_number(out, e.v0);
         out += ",\"drains\":";
-        append_number(out, e.v1);
+        append_json_number(out, e.v1);
         out += "}}";
         break;
     }

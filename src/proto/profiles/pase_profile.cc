@@ -15,8 +15,8 @@ namespace {
 class PaseControlPlane final : public ControlPlane {
  public:
   PaseControlPlane(const core::ArbitrationPlane::SimResolver& sim_of,
-                   core::PlaneTopology pt, const core::PaseConfig& cfg)
-      : plane(sim_of, std::move(pt), cfg) {}
+                   topo::Topology& topo, const core::PaseConfig& cfg)
+      : plane(sim_of, topo, cfg) {}
 
   const core::ControlPlaneStats* stats() const override {
     return &plane.stats();
@@ -79,8 +79,7 @@ class PaseProfile final : public TransportProfile {
     auto sim_of = ctx.sim_resolver
                       ? ctx.sim_resolver
                       : [&seq](net::NodeId) -> sim::Simulator& { return seq; };
-    return std::make_unique<PaseControlPlane>(
-        sim_of, core::PlaneTopology::from(ctx.built), pc);
+    return std::make_unique<PaseControlPlane>(sim_of, ctx.topo, pc);
   }
 
   std::unique_ptr<transport::Sender> make_sender(

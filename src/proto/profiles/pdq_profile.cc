@@ -46,12 +46,12 @@ class PdqProfile final : public TransportProfile {
     // Controllers on every switch output port... Each controller reads the
     // clock of its node's domain (ctx.sim_of falls back to ctx.sim when the
     // context has no resolver).
-    for (const auto& sw : ctx.built.topo().switches()) {
+    for (const auto& sw : ctx.topo.switches()) {
       auto cs = transport::PdqController::attach(ctx.sim_of(sw->id()), *sw, po);
       for (auto& c : cs) cp->controllers.push_back(std::move(c));
     }
     // ...and on every host uplink.
-    for (const auto& h : ctx.built.topo().hosts()) {
+    for (const auto& h : ctx.topo.hosts()) {
       auto c = std::make_unique<transport::PdqController>(
           ctx.sim_of(h->id()), h->id(), h->nic_rate_bps(), po);
       transport::PdqController* raw = c.get();

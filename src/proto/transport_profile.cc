@@ -32,12 +32,12 @@ transport::Receiver* TransportProfile::construct_receiver(
   return new (mem) transport::Receiver(ctx.sim, dst, flow);
 }
 
-sim::Time estimate_base_rtt(topo::Topology& topo, double host_rate_bps) {
-  const net::NodeId a = topo.host(0)->id();
+sim::Time estimate_base_rtt(topo::Topology& topo) {
+  net::Host* first = topo.host(0);
   const net::NodeId b = topo.host(topo.num_hosts() - 1)->id();
-  const sim::Time prop = topo.propagation_rtt(a, b);
-  const sim::Time serial =
-      4.0 * (net::kMss + net::kDataHeaderBytes) * 8.0 / host_rate_bps;
+  const sim::Time prop = topo.propagation_rtt(first->id(), b);
+  const sim::Time serial = 4.0 * (net::kMss + net::kDataHeaderBytes) * 8.0 /
+                           first->nic_rate_bps();
   return prop + serial;
 }
 

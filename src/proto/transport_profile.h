@@ -25,7 +25,7 @@
 #include "core/control_stats.h"
 #include "proto/profile_params.h"
 #include "proto/protocol.h"
-#include "topo/builder.h"
+#include "topo/topology.h"
 #include "transport/agent.h"
 #include "transport/receiver.h"
 
@@ -52,7 +52,7 @@ class ControlPlane {
 // its arbitration period and criterion from the RTT and the workload).
 struct RunContext {
   sim::Simulator& sim;
-  topo::BuiltTopology& built;
+  topo::Topology& topo;
   ProfileParams params;
   sim::Time base_rtt = 0.0;
   bool any_deadline = false;
@@ -154,7 +154,8 @@ class TransportProfile {
 };
 
 // Measured base RTT between the two most distant hosts: propagation plus a
-// nominal per-hop serialization allowance for a data packet.
-sim::Time estimate_base_rtt(topo::Topology& topo, double host_rate_bps);
+// nominal per-hop serialization allowance for a data packet at the first
+// host's NIC rate.
+sim::Time estimate_base_rtt(topo::Topology& topo);
 
 }  // namespace pase::proto

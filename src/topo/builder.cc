@@ -2,128 +2,6 @@
 
 namespace pase::topo {
 
-namespace {
-
-class BuiltSingleRack : public BuiltTopology {
- public:
-  explicit BuiltSingleRack(SingleRack rack) : rack_(std::move(rack)) {}
-  Topology& topo() override { return *rack_.topo; }
-  double host_rate_bps() const override { return rack_.config.host_rate_bps; }
-  // A rack has no fabric tier: the host links are the fabric.
-  double fabric_rate_bps() const override { return rack_.config.host_rate_bps; }
-  HostAttachment attachment(std::size_t) const override {
-    return HostAttachment{rack_.tor, nullptr};
-  }
-
- private:
-  SingleRack rack_;
-};
-
-class BuiltThreeTier : public BuiltTopology {
- public:
-  explicit BuiltThreeTier(ThreeTier tree) : tree_(std::move(tree)) {}
-  Topology& topo() override { return *tree_.topo; }
-  double host_rate_bps() const override { return tree_.config.host_rate_bps; }
-  double fabric_rate_bps() const override {
-    return tree_.config.fabric_rate_bps;
-  }
-  HostAttachment attachment(std::size_t host_index) const override {
-    const int tor = tree_.tor_of_host(static_cast<int>(host_index));
-    return HostAttachment{tree_.tors[static_cast<std::size_t>(tor)],
-                          tree_.agg_of_tor(tor), -1};
-  }
-  std::vector<net::Link*> core_links() const override {
-    std::vector<net::Link*> links;
-    for (int p = 0; p < tree_.core->num_ports(); ++p) {
-      links.push_back(&tree_.core->port_link(p));
-    }
-    for (net::Switch* agg : tree_.aggs) {
-      for (int p = 0; p < agg->num_ports(); ++p) {
-        if (agg->port_neighbor(p) == tree_.core) {
-          links.push_back(&agg->port_link(p));
-        }
-      }
-    }
-    return links;
-  }
-
- protected:
-  QueueClass classify_switch(const net::Switch* sw) const override {
-    if (sw == tree_.core) return {LinkTier::kCore, -1};
-    for (const net::Switch* a : tree_.aggs) {
-      if (a == sw) return {LinkTier::kAgg, -1};
-    }
-    return {LinkTier::kEdge, -1};
-  }
-
- private:
-  ThreeTier tree_;
-};
-
-// A fat-tree host's control-plane attachment: its edge switch plays the ToR
-// role and the pod's first aggregation switch stands in for the whole agg
-// tier (PASE's per-host arbitration trunk is an approximation under ECMP —
-// all hosts of a pod share one designated aggregation arbitrator).
-class BuiltFatTree : public BuiltTopology {
- public:
-  explicit BuiltFatTree(FatTree tree) : tree_(std::move(tree)) {}
-  Topology& topo() override { return *tree_.topo; }
-  double host_rate_bps() const override { return tree_.config.host_rate_bps; }
-  double fabric_rate_bps() const override {
-    return tree_.config.fabric_rate_bps;
-  }
-  HostAttachment attachment(std::size_t host_index) const override {
-    const int i = static_cast<int>(host_index);
-    const int pod = tree_.pod_of_host(i);
-    return HostAttachment{
-        tree_.edges[static_cast<std::size_t>(tree_.edge_of_host(i))],
-        tree_.agg_of_pod(pod), pod};
-  }
-  std::vector<net::Link*> core_links() const override {
-    return tree_.core_links();
-  }
-
- protected:
-  // Aggs and edges are stored pod-major, so a switch's pod is its index over
-  // the per-pod stride.
-  QueueClass classify_switch(const net::Switch* sw) const override {
-    for (const net::Switch* c : tree_.cores) {
-      if (c == sw) return {LinkTier::kCore, -1};
-    }
-    for (std::size_t a = 0; a < tree_.aggs.size(); ++a) {
-      if (tree_.aggs[a] == sw) {
-        return {LinkTier::kAgg,
-                static_cast<int>(a) / tree_.config.aggs_per_pod()};
-      }
-    }
-    for (std::size_t e = 0; e < tree_.edges.size(); ++e) {
-      if (tree_.edges[e] == sw) {
-        return {LinkTier::kEdge,
-                static_cast<int>(e) / tree_.config.edges_per_pod()};
-      }
-    }
-    return {LinkTier::kEdge, -1};
-  }
-
- private:
-  FatTree tree_;
-};
-
-}  // namespace
-
-std::vector<QueueClass> BuiltTopology::queue_classes() {
-  Topology& t = topo();
-  std::vector<QueueClass> classes;
-  for (std::size_t i = 0; i < t.hosts().size(); ++i) {
-    classes.push_back({LinkTier::kHost, attachment(i).pod});
-  }
-  for (const auto& sw : t.switches()) {
-    const QueueClass c = classify_switch(sw.get());
-    for (int p = 0; p < sw->num_ports(); ++p) classes.push_back(c);
-  }
-  return classes;
-}
-
 WorkloadHints SingleRackBuilder::hints() const {
   WorkloadHints h;
   h.num_hosts = cfg_.num_hosts;
@@ -132,10 +10,9 @@ WorkloadHints SingleRackBuilder::hints() const {
   return h;
 }
 
-std::unique_ptr<BuiltTopology> SingleRackBuilder::build(
+std::unique_ptr<Topology> SingleRackBuilder::build(
     sim::Simulator& sim, const QueueFactory& make_queue) const {
-  return std::make_unique<BuiltSingleRack>(
-      build_single_rack(sim, cfg_, make_queue));
+  return build_single_rack(sim, cfg_, make_queue).topo;
 }
 
 WorkloadHints ThreeTierBuilder::hints() const {
@@ -147,10 +24,9 @@ WorkloadHints ThreeTierBuilder::hints() const {
   return h;
 }
 
-std::unique_ptr<BuiltTopology> ThreeTierBuilder::build(
+std::unique_ptr<Topology> ThreeTierBuilder::build(
     sim::Simulator& sim, const QueueFactory& make_queue) const {
-  return std::make_unique<BuiltThreeTier>(
-      build_three_tier(sim, cfg_, make_queue));
+  return build_three_tier(sim, cfg_, make_queue).topo;
 }
 
 WorkloadHints FatTreeBuilder::hints() const {
@@ -162,9 +38,9 @@ WorkloadHints FatTreeBuilder::hints() const {
   return h;
 }
 
-std::unique_ptr<BuiltTopology> FatTreeBuilder::build(
+std::unique_ptr<Topology> FatTreeBuilder::build(
     sim::Simulator& sim, const QueueFactory& make_queue) const {
-  return std::make_unique<BuiltFatTree>(build_fat_tree(sim, cfg_, make_queue));
+  return build_fat_tree(sim, cfg_, make_queue).topo;
 }
 
 }  // namespace pase::topo

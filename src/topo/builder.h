@@ -2,17 +2,16 @@
 //
 // A TopologyBuilder knows how to size a workload for its topology (hints())
 // and how to materialize the node/link graph for a given fabric
-// (build(sim, queue_factory)). The BuiltTopology it returns keeps the
-// structural facts a control plane needs — which ToR/Agg each host hangs
-// off — without the caller having to know whether it is looking at a rack,
-// a tree, or something new. The scenario harness only ever sees these two
-// interfaces, so adding a topology means adding a builder, not editing the
-// harness.
+// (build(sim, queue_factory)). What it returns is a plain Topology: every
+// structural fact a control plane or the telemetry plane needs — each
+// node's tier and pod, a host's ToR, the links above a switch, the core
+// links — is derived there from the graph itself, so the caller never knows
+// whether it is looking at a rack, a tree, or something new. The scenario
+// harness only ever sees these two types, so adding a topology means adding
+// a builder, not editing the harness.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "topo/fat_tree.h"
 #include "topo/single_rack.h"
@@ -20,67 +19,6 @@
 #include "topo/topology.h"
 
 namespace pase::topo {
-
-// Where a host attaches to the fabric (agg is null when there is no
-// aggregation layer above the host's ToR; pod is -1 on topologies without
-// pods).
-struct HostAttachment {
-  net::Switch* tor = nullptr;
-  net::Switch* agg = nullptr;
-  int pod = -1;
-};
-
-// Which fabric tier a queue's link belongs to: the tier of the *sending*
-// node, so a host uplink is kHost, a ToR port (down or up) is kEdge, and so
-// on. This is the rollup key the telemetry plane aggregates by.
-enum class LinkTier : std::uint8_t { kHost = 0, kEdge = 1, kAgg = 2, kCore = 3 };
-
-inline const char* link_tier_name(LinkTier t) {
-  switch (t) {
-    case LinkTier::kHost: return "host";
-    case LinkTier::kEdge: return "edge";
-    case LinkTier::kAgg: return "agg";
-    case LinkTier::kCore: return "core";
-  }
-  return "?";
-}
-
-// Tier plus pod membership for one queue (pod -1: the sender is not inside a
-// pod — core switches, or topologies without pods).
-struct QueueClass {
-  LinkTier tier = LinkTier::kEdge;
-  int pod = -1;
-};
-
-// A materialized topology plus the structural metadata builders preserve.
-class BuiltTopology {
- public:
-  virtual ~BuiltTopology() = default;
-  virtual Topology& topo() = 0;
-  virtual double host_rate_bps() const = 0;
-  // Core/fabric link rate; equals host_rate_bps when there is no fabric tier.
-  virtual double fabric_rate_bps() const = 0;
-  // Attachment of host index i (host creation order).
-  virtual HostAttachment attachment(std::size_t host_index) const = 0;
-  // Directed links touching the core tier — the surface ECMP is supposed to
-  // balance. Empty when the topology has no core tier worth watching.
-  virtual std::vector<net::Link*> core_links() const { return {}; }
-
-  // Tier/pod class of every queue, in the canonical order of
-  // Topology::for_each_queue (host uplinks in host order, then switch ports
-  // in construction order). Host uplinks take the host's attachment pod;
-  // switch ports take classify_switch of the owning switch. Defined in
-  // builder.cc.
-  std::vector<QueueClass> queue_classes();
-
- protected:
-  // Tier/pod of one switch. The default says "edge, no pod", which is right
-  // for the single-rack topology; the tree and fat-tree builders override.
-  virtual QueueClass classify_switch(const net::Switch* sw) const {
-    (void)sw;
-    return {LinkTier::kEdge, -1};
-  }
-};
 
 // Workload sizing facts derivable from the config alone, before building.
 struct WorkloadHints {
@@ -94,7 +32,7 @@ class TopologyBuilder {
  public:
   virtual ~TopologyBuilder() = default;
   virtual WorkloadHints hints() const = 0;
-  virtual std::unique_ptr<BuiltTopology> build(
+  virtual std::unique_ptr<Topology> build(
       sim::Simulator& sim, const QueueFactory& make_queue) const = 0;
 };
 
@@ -102,7 +40,7 @@ class SingleRackBuilder : public TopologyBuilder {
  public:
   explicit SingleRackBuilder(SingleRackConfig cfg) : cfg_(cfg) {}
   WorkloadHints hints() const override;
-  std::unique_ptr<BuiltTopology> build(
+  std::unique_ptr<Topology> build(
       sim::Simulator& sim, const QueueFactory& make_queue) const override;
 
  private:
@@ -113,7 +51,7 @@ class ThreeTierBuilder : public TopologyBuilder {
  public:
   explicit ThreeTierBuilder(ThreeTierConfig cfg) : cfg_(cfg) {}
   WorkloadHints hints() const override;
-  std::unique_ptr<BuiltTopology> build(
+  std::unique_ptr<Topology> build(
       sim::Simulator& sim, const QueueFactory& make_queue) const override;
 
  private:
@@ -124,7 +62,7 @@ class FatTreeBuilder : public TopologyBuilder {
  public:
   explicit FatTreeBuilder(FatTreeConfig cfg) : cfg_(cfg) {}
   WorkloadHints hints() const override;
-  std::unique_ptr<BuiltTopology> build(
+  std::unique_ptr<Topology> build(
       sim::Simulator& sim, const QueueFactory& make_queue) const override;
 
  private:

@@ -216,22 +216,4 @@ FatTree build_fat_tree(sim::Simulator& sim, const FatTreeConfig& cfg,
   return t;
 }
 
-std::vector<net::Link*> FatTree::core_links() const {
-  std::vector<net::Link*> links;
-  const net::NodeId core_bound = static_cast<net::NodeId>(cores.size());
-  for (net::Switch* core : cores) {
-    for (int p = 0; p < core->num_ports(); ++p) {
-      links.push_back(&core->port_link(p));
-    }
-  }
-  for (net::Switch* agg : aggs) {
-    for (int p = 0; p < agg->num_ports(); ++p) {
-      if (agg->port_neighbor(p)->id() < core_bound) {
-        links.push_back(&agg->port_link(p));
-      }
-    }
-  }
-  return links;
-}
-
 }  // namespace pase::topo

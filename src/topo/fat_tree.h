@@ -45,21 +45,6 @@ struct FatTree {
   std::vector<net::Switch*> aggs;   // pod-major: pod * k/2 + a
   std::vector<net::Switch*> edges;  // pod-major: pod * k/2 + e
   FatTreeConfig config;
-
-  int num_hosts() const { return config.num_hosts(); }
-  // Hosts are created pod-by-pod, edge-by-edge.
-  int pod_of_host(int host_index) const {
-    return host_index / config.hosts_per_pod();
-  }
-  int edge_of_host(int host_index) const {  // global edge index (pod-major)
-    return host_index / config.hosts_per_edge();
-  }
-  net::Switch* agg_of_pod(int pod) const {
-    return aggs[static_cast<std::size_t>(pod * config.aggs_per_pod())];
-  }
-  // Directed links touching the core tier (agg->core uplinks and core->agg
-  // downlinks) — the ECMP load-balance surface.
-  std::vector<net::Link*> core_links() const;
 };
 
 FatTree build_fat_tree(sim::Simulator& sim, const FatTreeConfig& cfg,

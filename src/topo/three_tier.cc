@@ -1,13 +1,28 @@
 #include "topo/three_tier.h"
 
-#include <cassert>
+#include <stdexcept>
 #include <string>
 
 namespace pase::topo {
 
 ThreeTier build_three_tier(sim::Simulator& sim, const ThreeTierConfig& cfg,
                            const QueueFactory& make_queue) {
-  assert(cfg.num_tors % cfg.tors_per_agg == 0);
+  // Always-on validation, as in build_fat_tree: direct callers bypass
+  // ScenarioConfig validation, and a zero or non-dividing tors_per_agg
+  // would divide by zero or index past the aggs in release builds.
+  if (cfg.num_tors < 1 || cfg.hosts_per_tor < 1 || cfg.tors_per_agg < 1) {
+    throw std::invalid_argument(
+        "three-tier num_tors, hosts_per_tor and tors_per_agg must be >= 1, "
+        "got " + std::to_string(cfg.num_tors) + ", " +
+        std::to_string(cfg.hosts_per_tor) + ", " +
+        std::to_string(cfg.tors_per_agg));
+  }
+  if (cfg.num_tors % cfg.tors_per_agg != 0) {
+    throw std::invalid_argument(
+        "three-tier num_tors (" + std::to_string(cfg.num_tors) +
+        ") must be a multiple of tors_per_agg (" +
+        std::to_string(cfg.tors_per_agg) + ")");
+  }
   ThreeTier t;
   t.config = cfg;
   t.topo = std::make_unique<Topology>(sim);

@@ -27,19 +27,6 @@ struct ThreeTier {
   std::vector<net::Switch*> aggs;
   net::Switch* core = nullptr;
   ThreeTierConfig config;
-
-  int num_hosts() const { return config.num_tors * config.hosts_per_tor; }
-  // Hosts are created rack-by-rack: host i lives under ToR i / hosts_per_tor.
-  int tor_of_host(int host_index) const {
-    return host_index / config.hosts_per_tor;
-  }
-  net::Switch* agg_of_tor(int tor_index) const {
-    return aggs[static_cast<std::size_t>(tor_index / config.tors_per_agg)];
-  }
-  // Hosts in the left subtree are those under aggregation switch 0.
-  bool in_left_subtree(int host_index) const {
-    return tor_of_host(host_index) / config.tors_per_agg == 0;
-  }
 };
 
 ThreeTier build_three_tier(sim::Simulator& sim, const ThreeTierConfig& cfg,

@@ -1,5 +1,6 @@
 #include "topo/topology.h"
 
+#include <algorithm>
 #include <deque>
 #include <stdexcept>
 #include <utility>
@@ -73,10 +74,11 @@ net::Node* Topology::node(net::NodeId id) const {
   return nodes_[static_cast<std::size_t>(id)];
 }
 
-std::vector<std::int32_t> Topology::hop_distances(net::NodeId to) const {
+std::vector<std::int32_t> Topology::hop_distances(
+    std::span<const net::NodeId> sources) const {
   std::vector<std::int32_t> dist(nodes_.size(), -1);
-  std::deque<net::NodeId> frontier{to};
-  dist[static_cast<std::size_t>(to)] = 0;
+  std::deque<net::NodeId> frontier(sources.begin(), sources.end());
+  for (const net::NodeId s : sources) dist[static_cast<std::size_t>(s)] = 0;
   while (!frontier.empty()) {
     const net::NodeId cur = frontier.front();
     frontier.pop_front();
@@ -105,6 +107,51 @@ void Topology::build_routes_bfs() {
   finalize_switch_config();
 }
 
+void Topology::compute_tiers() {
+  // One multi-source BFS from every host; deeper nodes are capped at the
+  // core so every consumer can index by the four named tiers.
+  constexpr std::int32_t kCore = static_cast<std::int32_t>(Tier::kCore);
+  std::vector<net::NodeId> host_ids;
+  host_ids.reserve(hosts_.size());
+  for (const auto& h : hosts_) host_ids.push_back(h->id());
+  const std::vector<std::int32_t> dist = hop_distances(host_ids);
+  tier_.assign(nodes_.size(), Tier::kHost);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (dist[i] < 0) {
+      throw std::runtime_error("topology is disconnected: no host reaches " +
+                               nodes_[i]->name());
+    }
+    tier_[i] = static_cast<Tier>(std::min(dist[i], kCore));
+  }
+}
+
+int Topology::up_port(const net::Switch& sw) const {
+  const Tier above = static_cast<Tier>(static_cast<int>(tier(sw.id())) + 1);
+  for (int p = 0; p < sw.num_ports(); ++p) {
+    if (tier(sw.port_neighbor(p)->id()) == above) return p;
+  }
+  return -1;
+}
+
+std::vector<net::Link*> Topology::core_links() const {
+  std::vector<net::Link*> links;
+  for (const auto& sw : switches_) {
+    if (tier(sw->id()) != Tier::kCore) continue;
+    for (int p = 0; p < sw->num_ports(); ++p) {
+      links.push_back(&sw->port_link(p));
+    }
+  }
+  for (const auto& sw : switches_) {
+    if (tier(sw->id()) != Tier::kAgg) continue;
+    for (int p = 0; p < sw->num_ports(); ++p) {
+      if (tier(sw->port_neighbor(p)->id()) == Tier::kCore) {
+        links.push_back(&sw->port_link(p));
+      }
+    }
+  }
+  return links;
+}
+
 void Topology::install_bfs_routes() {
   // Per destination: one BFS yields min-hop distances, then every switch
   // installs all ports whose neighbor is strictly closer to the destination
@@ -113,7 +160,8 @@ void Topology::install_bfs_routes() {
   // the unique-path tables the single-path router did.
   std::vector<std::vector<int>> ports;  // scratch, reused across switches
   for (const net::Node* dst : nodes_) {
-    const std::vector<std::int32_t> dist = hop_distances(dst->id());
+    const net::NodeId to = dst->id();
+    const std::vector<std::int32_t> dist = hop_distances({&to, 1});
     for (auto& sw : switches_) {
       if (sw->id() == dst->id()) continue;
       const std::int32_t d_sw = dist[static_cast<std::size_t>(sw->id())];
@@ -138,6 +186,7 @@ void Topology::install_bfs_routes() {
 }
 
 void Topology::finalize_switch_config() {
+  compute_tiers();
   for (auto& sw : switches_) {
     sw->set_ecmp_seed(ecmp_seed_);
     sw->set_name_resolver([this](net::NodeId id) {
@@ -155,7 +204,7 @@ std::size_t Topology::route_table_bytes() const {
 
 sim::Time Topology::propagation_delay(net::NodeId from, net::NodeId to) const {
   if (from == to) return 0.0;
-  const std::vector<std::int32_t> dist = hop_distances(to);
+  const std::vector<std::int32_t> dist = hop_distances({&to, 1});
   if (from < 0 || static_cast<std::size_t>(from) >= dist.size() ||
       dist[static_cast<std::size_t>(from)] < 0) {
     throw std::runtime_error("no path between nodes");
@@ -183,22 +232,22 @@ sim::Time Topology::propagation_delay(net::NodeId from, net::NodeId to) const {
 }
 
 void Topology::for_each_queue(
-    const std::function<void(net::Queue&)>& fn) const {
-  for (const auto& h : hosts_) fn(h->uplink_queue());
+    const std::function<void(net::NodeId, net::Queue&)>& fn) const {
+  for (const auto& h : hosts_) fn(h->id(), h->uplink_queue());
   for (const auto& sw : switches_) {
-    for (int p = 0; p < sw->num_ports(); ++p) fn(sw->port_queue(p));
+    for (int p = 0; p < sw->num_ports(); ++p) fn(sw->id(), sw->port_queue(p));
   }
 }
 
 std::uint64_t Topology::total_drops() const {
   std::uint64_t n = 0;
-  for_each_queue([&n](net::Queue& q) { n += q.drops(); });
+  for_each_queue([&n](net::NodeId, net::Queue& q) { n += q.drops(); });
   return n;
 }
 
 std::uint64_t Topology::total_enqueues() const {
   std::uint64_t n = 0;
-  for_each_queue([&n](net::Queue& q) { n += q.enqueues(); });
+  for_each_queue([&n](net::NodeId, net::Queue& q) { n += q.enqueues(); });
   return n;
 }
 

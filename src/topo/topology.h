@@ -3,11 +3,18 @@
 // equal-cost shortest paths exist (fat-tree fabrics), every min-hop port is
 // installed as an ECMP group on the switch; tree topologies degenerate to
 // the single-path tables they always had.
+//
+// It is also the one fabric model the layers above read: every node's tier
+// is derived from the adjacency alone (hop distance to the nearest host),
+// its pod is its partition group, a switch's first port one tier up names
+// the link it hangs from, and the core-facing links follow from the tiers.
+// No caller needs to know which builder made the fabric.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +29,16 @@ namespace pase::topo {
 // by supplying a factory.
 using QueueFactory =
     std::function<std::unique_ptr<net::Queue>(double link_rate_bps)>;
+
+// A node's fabric tier: its hop distance to the nearest host, capped at the
+// core. Hosts are 0, ToR/edge switches 1, aggregation switches 2, cores 3.
+enum class Tier : std::uint8_t { kHost = 0, kEdge = 1, kAgg = 2, kCore = 3 };
+inline constexpr int kNumTiers = 4;
+
+inline const char* tier_name(Tier t) {
+  constexpr const char* kNames[kNumTiers] = {"host", "edge", "agg", "core"};
+  return kNames[static_cast<int>(t)];
+}
 
 class Topology {
  public:
@@ -39,8 +56,9 @@ class Topology {
   void connect_switches(net::Switch* a, net::Switch* b, double rate_bps,
                         sim::Time prop_delay, const QueueFactory& make_queue);
 
-  // Computes routing tables and stamps the ECMP seed and name resolver onto
-  // every switch. Must be called after all nodes/links exist. When a
+  // Computes routing tables and every node's tier, and stamps the ECMP seed
+  // and name resolver onto every switch. Must be called after all
+  // nodes/links exist; a node no host reaches is an error. When a
   // structural route installer is registered (fat-tree), it runs instead of
   // the generic per-destination BFS — O(V+E) arithmetic installs versus
   // O(V * E) search — and re-runs on every call, so seed changes rebuild
@@ -81,6 +99,23 @@ class Topology {
     return partition_group_[static_cast<std::size_t>(id)];
   }
 
+  // Fabric roles, valid once build_routes has run. A node's pod is its
+  // partition group (-1 outside any pod).
+  Tier tier(net::NodeId id) const {
+    return tier_[static_cast<std::size_t>(id)];
+  }
+  // The switch a host hangs off: its uplink's far end.
+  static net::Switch& tor_of(net::Host& h) {
+    return static_cast<net::Switch&>(*h.uplink().destination());
+  }
+  // The first port of `sw`, in port order, whose neighbor sits one tier up;
+  // -1 when nothing is above it (a rack's ToR, a core).
+  int up_port(const net::Switch& sw) const;
+  // Directed links touching the core tier — the surface ECMP is supposed to
+  // balance: every port of each core, then each agg's ports toward the
+  // cores, in switch order. Empty when the fabric has no core.
+  std::vector<net::Link*> core_links() const;
+
   sim::Simulator& simulator() { return *sim_; }
 
   const std::vector<std::unique_ptr<net::Host>>& hosts() const {
@@ -107,8 +142,10 @@ class Topology {
   std::uint64_t total_drops() const;
   std::uint64_t total_enqueues() const;
 
-  // Visits every queue in the topology.
-  void for_each_queue(const std::function<void(net::Queue&)>& fn) const;
+  // Visits every queue in the topology with the node that transmits from it:
+  // host uplinks in host order, then switch ports in construction order.
+  void for_each_queue(
+      const std::function<void(net::NodeId owner, net::Queue&)>& fn) const;
 
  private:
   // Directed half-edge in a node's adjacency list (insertion order matches
@@ -124,11 +161,14 @@ class Topology {
 
   void add_edge_pair(net::NodeId a, net::NodeId b, sim::Time delay);
 
-  // Min-hop distance from every node to `to` (-1 when unreachable).
-  std::vector<std::int32_t> hop_distances(net::NodeId to) const;
+  // Min-hop distance from every node to the nearest of `sources` (-1 when
+  // unreachable).
+  std::vector<std::int32_t> hop_distances(
+      std::span<const net::NodeId> sources) const;
 
   void install_bfs_routes();
   void finalize_switch_config();
+  void compute_tiers();
 
   sim::Simulator* sim_;
   std::vector<std::unique_ptr<net::Host>> hosts_;
@@ -136,6 +176,7 @@ class Topology {
   std::vector<net::Node*> nodes_;            // indexed by node id
   std::vector<std::vector<HalfEdge>> adj_;   // indexed by node id
   std::vector<int> partition_group_;         // indexed by node id; -1 = none
+  std::vector<Tier> tier_;                   // indexed by node id
   std::uint64_t ecmp_seed_ = 0;
   RouteInstaller route_installer_;
 };

@@ -30,10 +30,10 @@ using Clock = std::chrono::steady_clock;
 
 // Aggregate counters every run exports, at any domain count.
 void fold_common_metrics(obs::MetricsRegistry& reg, const ScenarioResult& r,
-                         topo::BuiltTopology& built,
+                         const topo::Topology& topo,
                          sim::ParallelEngine& engine) {
   std::uint64_t drops = 0, marks = 0, enqueues = 0, queue_bytes = 0;
-  built.topo().for_each_queue([&](net::Queue& q) {
+  topo.for_each_queue([&](net::NodeId, net::Queue& q) {
     drops += q.drops();
     marks += q.marks();
     enqueues += q.enqueues();
@@ -48,7 +48,7 @@ void fold_common_metrics(obs::MetricsRegistry& reg, const ScenarioResult& r,
   // at chunk barriers, so its demux figure may differ from a sequential
   // run's. Event slots are summed over the domains' arenas.
   std::uint64_t demux_bytes = 0;
-  for (const auto& h : built.topo().hosts()) demux_bytes += h->demux_bytes();
+  for (const auto& h : topo.hosts()) demux_bytes += h->demux_bytes();
   reg.counter("mem.demux_bytes") = demux_bytes;
   reg.counter("mem.queue_buffer_bytes") = queue_bytes;
   std::uint64_t executed = 0, rebuilds = 0, slot_bytes = 0;
@@ -74,7 +74,7 @@ void fold_common_metrics(obs::MetricsRegistry& reg, const ScenarioResult& r,
   // Core-tier load balance (topologies with a core tier only): max/mean
   // bytes over the core-facing links. ~1.0 means the per-flow ECMP hash is
   // spreading load evenly; deterministic, so safe in sweep JSON.
-  const std::vector<net::Link*> core = built.core_links();
+  const std::vector<net::Link*> core = topo.core_links();
   if (!core.empty()) {
     std::uint64_t total_bytes = 0, max_bytes = 0;
     for (const net::Link* l : core) {
@@ -92,10 +92,10 @@ void fold_common_metrics(obs::MetricsRegistry& reg, const ScenarioResult& r,
   // bytes/switch staying sublinear in host count (compressed structural
   // routes). Deterministic — a pure function of the built topology.
   std::uint64_t route_bytes = 0;
-  for (const auto& sw : built.topo().switches()) {
+  for (const auto& sw : topo.switches()) {
     route_bytes += sw->route_state_bytes();
   }
-  reg.counter("fabric.switches") = built.topo().switches().size();
+  reg.counter("fabric.switches") = topo.switches().size();
   reg.counter("fabric.route_table_bytes") = route_bytes;
   // setup_wall_sec intentionally stays out of the registry: the metrics
   // snapshot is serialized into sweep JSON, which must be deterministic.
@@ -109,7 +109,7 @@ void fold_common_metrics(obs::MetricsRegistry& reg, const ScenarioResult& r,
 // sweep JSON. Counts sum over the domains.
 void fold_profile_metrics(obs::MetricsRegistry& reg,
                           sim::ParallelEngine& engine,
-                          topo::BuiltTopology& built) {
+                          const topo::Topology& topo) {
   std::uint64_t raw = 0, inl = 0, heap = 0, unlabeled = 0;
   std::uint64_t walks = 0, scan_sum = 0, scan_max = 0, peak = 0;
   for (int d = 0; d < engine.num_domains(); ++d) {
@@ -137,7 +137,7 @@ void fold_profile_metrics(obs::MetricsRegistry& reg,
   reg.counter("profile.engine.scan_max") = scan_max;
   reg.counter("profile.engine.peak_pending") = peak;
   std::uint64_t hits = 0, misses = 0;
-  for (const auto& sw : built.topo().switches()) {
+  for (const auto& sw : topo.switches()) {
     hits += sw->path_cache_hits();
     misses += sw->path_cache_misses();
   }
@@ -415,7 +415,7 @@ class Run {
   // The domain count comes from the built topology, so it is built on a
   // construction clock; every link is rebound to its domain before any run.
   sim::Simulator build_sim_;
-  std::unique_ptr<topo::BuiltTopology> built_;
+  std::unique_ptr<topo::Topology> topo_;
   std::string fallback_reason_;
   const topo::Partition part_;
   // Destroyed after the control plane and the endpoints: their destructors
@@ -466,11 +466,11 @@ Run::Run(const ScenarioConfig& cfg, const proto::TransportProfile& profile,
       profile_(profile),
       setup_t0_(Clock::now()),
       flows_(std::move(flows)),
-      built_(topology_builder(cfg)->build(build_sim_,
-                                          profile.make_queue_factory(cfg))),
-      part_(choose_partition(built_->topo(), cfg, profile, &fallback_reason_)),
+      topo_(topology_builder(cfg)->build(build_sim_,
+                                         profile.make_queue_factory(cfg))),
+      part_(choose_partition(*topo_, cfg, profile, &fallback_reason_)),
       engine_(part_.domains, cfg.workers) {
-  topo::Topology& topo = built_->topo();
+  topo::Topology& topo = *topo_;
   // The per-flow path memo (0 disables it). Selections are identical at any
   // capacity, so this never perturbs goldens.
   for (const auto& sw : topo.switches()) {
@@ -482,7 +482,7 @@ Run::Run(const ScenarioConfig& cfg, const proto::TransportProfile& profile,
     for (int d = 0; d < n_dom; ++d) engine_.domain(d).enable_profiling();
   }
   if (cfg.telemetry.enabled) {
-    telemetry_ = std::make_unique<obs::TelemetryPlane>(*built_, cfg.telemetry);
+    telemetry_ = std::make_unique<obs::TelemetryPlane>(topo, cfg.telemetry);
   }
 
   // Every link schedules on the clock of the node that transmits into it;
@@ -501,10 +501,10 @@ Run::Run(const ScenarioConfig& cfg, const proto::TransportProfile& profile,
 
   dctx_.reserve(static_cast<std::size_t>(n_dom));
   dctx_.push_back(proto::RunContext{
-      engine_.domain(0), *built_,
+      engine_.domain(0), topo,
       static_cast<const proto::ProfileParams&>(cfg)});
   proto::RunContext& ctx0 = dctx_.front();
-  ctx0.base_rtt = proto::estimate_base_rtt(topo, built_->host_rate_bps());
+  ctx0.base_rtt = proto::estimate_base_rtt(topo);
   // Deadline workloads arbitrate/schedule EDF; others SJF.
   for (const auto& f : flows_) {
     ctx0.any_deadline = ctx0.any_deadline || f.has_deadline();
@@ -515,7 +515,7 @@ Run::Run(const ScenarioConfig& cfg, const proto::TransportProfile& profile,
   control_ = profile.make_control_plane(ctx0);
   ctx0.control = control_.get();
   for (int d = 1; d < n_dom; ++d) {
-    dctx_.push_back({engine_.domain(d), *built_, ctx0.params, ctx0.base_rtt,
+    dctx_.push_back({engine_.domain(d), topo, ctx0.params, ctx0.base_rtt,
                      ctx0.any_deadline, ctx0.control, ctx0.sim_resolver});
   }
   setup_base_ = control_ ? control_->setup_events() : 0;
@@ -588,8 +588,8 @@ std::uint32_t Run::materialize(std::uint32_t i) {
   if (telemetry_) telemetry_->note_flow(f.id, f.size_bytes);
   const auto sd = static_cast<std::size_t>(domain_of(f.src));
   const auto dd = static_cast<std::size_t>(domain_of(f.dst));
-  net::Host* src = static_cast<net::Host*>(built_->topo().node(f.src));
-  net::Host* dst = static_cast<net::Host*>(built_->topo().node(f.dst));
+  net::Host* src = static_cast<net::Host*>(topo_->node(f.src));
+  net::Host* dst = static_cast<net::Host*>(topo_->node(f.dst));
   assert(src && dst);
 
   const std::uint32_t s = table_.acquire();
@@ -764,7 +764,7 @@ ScenarioResult Run::execute() {
 
   result.records = std::move(records_);
   result.end_time = engine_.now();
-  result.fabric_drops = built_->topo().total_drops();
+  result.fabric_drops = topo_->total_drops();
   result.data_packets_sent = data_packets_sent_;
   result.probes_sent = probes_sent_;
   result.slab_grow_events = table_.slab_grow_events();
@@ -804,7 +804,7 @@ void Run::fold_metrics(ScenarioResult& result) {
   }
 
   obs::MetricsRegistry reg;
-  fold_common_metrics(reg, result, *built_, engine_);
+  fold_common_metrics(reg, result, *topo_, engine_);
   if (n_dom > 1) {
     std::uint64_t executed = 0, max_domain_executed = 0;
     for (int d = 0; d < n_dom; ++d) {
@@ -831,7 +831,7 @@ void Run::fold_metrics(ScenarioResult& result) {
     reg.counter("telemetry.samples") = result.telemetry->samples;
     reg.counter("telemetry.windows") = result.telemetry->windows.size();
   }
-  if (cfg_.profile) fold_profile_metrics(reg, engine_, *built_);
+  if (cfg_.profile) fold_profile_metrics(reg, engine_, *topo_);
   result.metrics = reg.snapshot();
 }
 

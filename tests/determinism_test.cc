@@ -3,6 +3,7 @@
 // sequential loop over the same configs produces, in submission order.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "exp/sweep.h"
@@ -82,6 +83,23 @@ TEST(SweepRunnerDeterminism, SweepJsonStableAcrossThreadCounts) {
   const auto r4 = exp::SweepRunner(4).run(configs);
   EXPECT_EQ(exp::sweep_to_json("x", cases, r1),
             exp::sweep_to_json("x", cases, r4));
+}
+
+TEST(SweepJson, CountsPrintAsPlainIntegers) {
+  exp::SweepCase c;
+  c.label = "numbers";
+  ScenarioResult r;
+  r.metrics = {{"a.count", 80.0},
+               {"b.samples", 1520.0},
+               {"c.ratio", 0.1},
+               {"d.small", 1e-06}};
+  const std::string json = exp::sweep_to_json("x", {c}, {r});
+  EXPECT_NE(json.find("\"a.count\": 80,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"b.samples\": 1520,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"c.ratio\": 0.1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"d.small\": 1e-06}"), std::string::npos) << json;
+  // The deadline-met fraction is not a rate: its key carries no unit.
+  EXPECT_NE(json.find("\"app_throughput\": 1,"), std::string::npos) << json;
 }
 
 TEST(SweepRunner, EmptySweepReturnsEmpty) {

@@ -56,8 +56,7 @@ TEST(ControlPlane, ArbitrationTrafficOccupiesLinks) {
     return std::make_unique<net::PriorityQueueBank>(8, 500, 65);
   });
   core::PaseConfig cfg;
-  core::ArbitrationPlane plane(n->sim, core::PlaneTopology::from(n->rack),
-                               cfg);
+  core::ArbitrationPlane plane(n->sim, *n->rack.topo, cfg);
   auto flow = test::make_flow(*n, 0, 1, 10 * net::kMss);
   core::PaseSender s(n->sim, n->host(0), flow, plane);
   auto recv = test::wire_flow(*n, s, flow);
@@ -192,7 +191,7 @@ TEST(ControlPlane, FinReachesAggWithoutDelegation) {
   core::PaseConfig cfg;
   cfg.delegation = false;
   cfg.early_pruning = false;
-  core::ArbitrationPlane plane(sim, core::PlaneTopology::from(tt), cfg);
+  core::ArbitrationPlane plane(sim, *tt.topo, cfg);
   struct C : core::ArbitrationClient {
     void arbitration_update(int, double, bool) override {}
   } c;
@@ -203,7 +202,7 @@ TEST(ControlPlane, FinReachesAggWithoutDelegation) {
   f.size_bytes = 100'000;
   plane.register_sender(c, f, 100e3, 1e9);
   sim.run(2e-3);
-  auto* agg_arb = plane.agg_up_arbitrator(tt.aggs[0]->id());
+  auto* agg_arb = plane.up_arbitrator(tt.aggs[0]->id());
   ASSERT_NE(agg_arb, nullptr);
   EXPECT_TRUE(agg_arb->table().contains(1));
   plane.sender_finished(f);

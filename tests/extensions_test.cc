@@ -118,7 +118,7 @@ TEST(TaskAware, EarlierTaskOutranksSmallerFlow) {
   auto rack = topo::build_single_rack(sim, rc, factory);
   core::PaseConfig cfg;
   cfg.criterion = core::Criterion::kTaskAware;
-  core::ArbitrationPlane plane(sim, core::PlaneTopology::from(rack), cfg);
+  core::ArbitrationPlane plane(sim, *rack.topo, cfg);
 
   struct C : core::ArbitrationClient {
     void arbitration_update(int, double, bool) override {}

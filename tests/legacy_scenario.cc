@@ -1,6 +1,8 @@
 // Frozen copy of src/workload/scenario.cc as it stood before the
 // profile-registry refactor (PR 2). Do not "improve" this file: its entire
-// value is that it is the pre-refactor behaviour, bit for bit.
+// value is that it is the pre-refactor behaviour, bit for bit. It links the
+// live ArbitrationPlane, which it builds from its Topology as the driver
+// does; what it keeps independent is launching every flow up front.
 #include "legacy_scenario.h"
 
 #include <cassert>
@@ -213,42 +215,8 @@ ScenarioResult run_scenario_with_flows(ScenarioConfig cfg,
         cfg.pase.criterion == core::Criterion::kShortestFlowFirst) {
       cfg.pase.criterion = core::Criterion::kEarliestDeadlineFirst;
     }
-    core::PlaneTopology pt;
-    if (cfg.topology == ScenarioConfig::TopologyKind::kSingleRack) {
-      pt.topo = run.topo;
-      pt.host_rate_bps = cfg.rack.host_rate_bps;
-      pt.fabric_rate_bps = cfg.rack.host_rate_bps;
-      net::Switch* tor = run.topo->switches().front().get();
-      for (const auto& h : run.topo->hosts()) {
-        pt.hosts[h->id()] = core::PlaneTopology::HostInfo{h.get(), tor,
-                                                          nullptr};
-      }
-    } else {
-      pt.topo = run.topo;
-      pt.host_rate_bps = cfg.tree.host_rate_bps;
-      pt.fabric_rate_bps = cfg.tree.fabric_rate_bps;
-      // Hosts were created rack by rack; recover ToR/Agg from structure.
-      const int hosts_per_tor = cfg.tree.hosts_per_tor;
-      const int tors_per_agg = cfg.tree.tors_per_agg;
-      const auto& hosts = run.topo->hosts();
-      // Switch creation order in build_three_tier: core, aggs..., tors
-      // (each followed by its hosts).
-      const auto& switches = run.topo->switches();
-      const int num_aggs = cfg.tree.num_tors / tors_per_agg;
-      for (std::size_t i = 0; i < hosts.size(); ++i) {
-        const int tor_idx = static_cast<int>(i) / hosts_per_tor;
-        net::Switch* tor =
-            switches[static_cast<std::size_t>(1 + num_aggs + tor_idx)].get();
-        net::Switch* agg =
-            switches[static_cast<std::size_t>(1 + tor_idx / tors_per_agg)]
-                .get();
-        pt.hosts[hosts[i]->id()] =
-            core::PlaneTopology::HostInfo{hosts[i].get(), tor, agg};
-      }
-    }
     run.plane =
-        std::make_unique<core::ArbitrationPlane>(run.sim, std::move(pt),
-                                                 cfg.pase);
+        std::make_unique<core::ArbitrationPlane>(run.sim, *run.topo, cfg.pase);
   }
 
   if (cfg.protocol == Protocol::kPdq) {

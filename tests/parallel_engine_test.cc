@@ -358,7 +358,7 @@ TEST(TopologyPartition, RacksStayIntactAndCutsCarryLookahead) {
     return std::make_unique<net::DropTailQueue>(100);
   });
   ASSERT_NE(built, nullptr);
-  topo::Topology& topo = built->topo();
+  topo::Topology& topo = *built;
 
   const topo::Partition part = topo::partition_topology(topo, 4);
   EXPECT_EQ(part.domains, 4);
@@ -392,7 +392,7 @@ TEST(TopologyPartition, UngroupedTopologiesGetOneDomainPerWorker) {
     return std::make_unique<net::DropTailQueue>(100);
   });
   for (const int workers : {1, 2, 3, 4}) {
-    EXPECT_EQ(topo::domains_for_workers(built->topo(), workers), workers);
+    EXPECT_EQ(topo::domains_for_workers(*built, workers), workers);
   }
 }
 
@@ -403,8 +403,7 @@ TEST(TopologyPartition, ClampsDomainsToHostCount) {
   topo::SingleRackBuilder builder(cfg);
   auto built = builder.build(
       sim, [](double) { return std::make_unique<net::DropTailQueue>(100); });
-  const topo::Partition part =
-      topo::partition_topology(built->topo(), 16);
+  const topo::Partition part = topo::partition_topology(*built, 16);
   EXPECT_EQ(part.domains, 3);
   for (int d : part.domain_of) {
     EXPECT_GE(d, 0);
@@ -419,7 +418,7 @@ TEST(TopologyPartition, SingleDomainIsUnusable) {
   topo::SingleRackBuilder builder(cfg);
   auto built = builder.build(
       sim, [](double) { return std::make_unique<net::DropTailQueue>(100); });
-  const topo::Partition part = topo::partition_topology(built->topo(), 1);
+  const topo::Partition part = topo::partition_topology(*built, 1);
   EXPECT_EQ(part.domains, 1);
   EXPECT_FALSE(part.usable());
   EXPECT_TRUE(part.cut_links.empty());

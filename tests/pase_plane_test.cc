@@ -6,6 +6,7 @@
 #include "core/pase_sender.h"
 #include "net/priority_queue_bank.h"
 #include "test_util.h"
+#include "topo/fat_tree.h"
 #include "topo/three_tier.h"
 #include "workload/scenario.h"
 
@@ -30,8 +31,7 @@ struct PlaneWorld {
     tt = topo::build_three_tier(sim, tc, bank_factory(cfg.num_queues));
     cfg.rtt = 300e-6;
     cfg.arbitration_period = 300e-6;
-    plane = std::make_unique<ArbitrationPlane>(sim, PlaneTopology::from(tt),
-                                               cfg);
+    plane = std::make_unique<ArbitrationPlane>(sim, *tt.topo, cfg);
   }
 
   net::Host& host(int i) { return *tt.topo->host(static_cast<std::size_t>(i)); }
@@ -200,7 +200,7 @@ TEST(ArbitrationPlane, DelegationShiftsVirtualCapacityTowardDemand) {
   }
   w.sim.run(4e-3);
   // ToR0's virtual uplink capacity should exceed ToR1's after reports.
-  auto* t0 = w.plane->tor_up_arbitrator(w.tt.tors[0]->id());
+  auto* t0 = w.plane->up_arbitrator(w.tt.tors[0]->id());
   ASSERT_NE(t0, nullptr);
   // (The virtual arbitrators are internal; observe indirectly: flows from
   // rack 0 should still be mapped to the top queues.)
@@ -218,6 +218,37 @@ TEST(ArbitrationPlane, ControlMessagesAreRealPackets) {
   EXPECT_GT(w.tt.topo->total_enqueues(), enqueues_before);
 }
 
+// Each switch arbitrates the link above it at that link's rate; on a
+// fat-tree only the pod's slot-0 agg arbitrates above the edges.
+TEST(ArbitrationPlane, SwitchArbitratorsTakeTheirLinkRate) {
+  sim::Simulator sim;
+  topo::FatTreeConfig fc;
+  fc.fabric_rate_bps = 40e9;
+  const topo::FatTree t = topo::build_fat_tree(sim, fc, bank_factory());
+  ArbitrationPlane plane(sim, *t.topo, PaseConfig{});
+  for (const net::Switch* edge : t.edges) {
+    const LinkArbitrator* up = plane.up_arbitrator(edge->id());
+    ASSERT_NE(up, nullptr) << edge->name();
+    EXPECT_EQ(up->table().capacity(), 40e9);
+  }
+  for (std::size_t a = 0; a < t.aggs.size(); ++a) {
+    const LinkArbitrator* up = plane.up_arbitrator(t.aggs[a]->id());
+    if (a % static_cast<std::size_t>(fc.aggs_per_pod()) == 0) {
+      ASSERT_NE(up, nullptr) << t.aggs[a]->name();
+      EXPECT_EQ(up->table().capacity(), 40e9);
+    } else {
+      EXPECT_EQ(up, nullptr) << t.aggs[a]->name();
+    }
+  }
+  for (const net::Switch* core : t.cores) {
+    EXPECT_EQ(plane.up_arbitrator(core->id()), nullptr);
+  }
+
+  auto n = test::make_mini_net(3, bank_factory());
+  ArbitrationPlane rack_plane(n->sim, *n->rack.topo, PaseConfig{});
+  EXPECT_EQ(rack_plane.up_arbitrator(n->rack.tor->id()), nullptr);
+}
+
 // --- PaseSender end-to-end -------------------------------------------------------
 
 struct PaseNet {
@@ -230,8 +261,7 @@ struct PaseNet {
     sim = &n->sim;
     cfg.rtt = 150e-6;
     cfg.arbitration_period = 150e-6;
-    plane = std::make_unique<ArbitrationPlane>(
-        n->sim, PlaneTopology::from(n->rack), cfg);
+    plane = std::make_unique<ArbitrationPlane>(n->sim, *n->rack.topo, cfg);
   }
   ~PaseNet() {
     plane.reset();  // plane holds pointers into n; drop it first
@@ -376,7 +406,7 @@ TEST(PaseSender, ProbeDetectsRealLossAndRetransmits) {
   cfg.rtt = 150e-6;
   cfg.arbitration_period = 150e-6;
   cfg.min_rto_low = 5e-3;  // keep the test fast
-  ArbitrationPlane plane(n->sim, PlaneTopology::from(n->rack), cfg);
+  ArbitrationPlane plane(n->sim, *n->rack.topo, cfg);
 
   // The competing flow must outlive the demoted flow's RTO so the timeout
   // takes the lower-queue probe path rather than the top-queue one.

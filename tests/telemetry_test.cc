@@ -21,16 +21,14 @@
 namespace pase::obs {
 namespace {
 
-// Single-rack fixture built through the builder seam, so the plane sees a
-// BuiltTopology (tier/pod classification) rather than a bare Topology.
+// Single-rack fixture built through the builder seam, as the scenario
+// driver builds its fabric.
 struct PlaneNet {
   sim::Simulator sim;
-  std::unique_ptr<topo::BuiltTopology> built;
+  std::unique_ptr<topo::Topology> built;
 
-  topo::Topology& topo() { return built->topo(); }
-  net::Host& host(int i) {
-    return *built->topo().host(static_cast<std::size_t>(i));
-  }
+  topo::Topology& topo() { return *built; }
+  net::Host& host(int i) { return *built->host(static_cast<std::size_t>(i)); }
 };
 
 std::unique_ptr<PlaneNet> make_plane_net(int num_hosts) {

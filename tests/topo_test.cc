@@ -1,7 +1,14 @@
 // Topology construction and routing tests.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "net/droptail_queue.h"
+#include "obs/telemetry.h"
+#include "topo/fat_tree.h"
 #include "topo/single_rack.h"
 #include "topo/three_tier.h"
 
@@ -93,18 +100,26 @@ TEST(ThreeTier, IntraRackPathAvoidsCore) {
   EXPECT_NEAR(tt.topo->propagation_rtt(a, b), 100e-6, 1e-12);
 }
 
-TEST(ThreeTier, SubtreeHelpers) {
+TEST(ThreeTier, MalformedConfigThrowsEvenInRelease) {
+  // Always-on validation, as for the fat-tree: direct callers bypass
+  // ScenarioConfig validation and NDEBUG builds compile asserts out.
   sim::Simulator sim;
-  ThreeTierConfig cfg;
-  auto tt = build_three_tier(sim, cfg, droptail());
-  EXPECT_TRUE(tt.in_left_subtree(0));
-  EXPECT_TRUE(tt.in_left_subtree(79));
-  EXPECT_FALSE(tt.in_left_subtree(80));
-  EXPECT_FALSE(tt.in_left_subtree(159));
-  EXPECT_EQ(tt.tor_of_host(0), 0);
-  EXPECT_EQ(tt.tor_of_host(40), 1);
-  EXPECT_EQ(tt.agg_of_tor(0), tt.aggs[0]);
-  EXPECT_EQ(tt.agg_of_tor(3), tt.aggs[1]);
+  ThreeTierConfig no_split;
+  no_split.tors_per_agg = 0;  // would divide by zero
+  EXPECT_THROW(build_three_tier(sim, no_split, droptail()),
+               std::invalid_argument);
+  ThreeTierConfig uneven;
+  uneven.num_tors = 3;  // 3 % 2 != 0 would index past the aggs
+  EXPECT_THROW(build_three_tier(sim, uneven, droptail()),
+               std::invalid_argument);
+  ThreeTierConfig no_tors;
+  no_tors.num_tors = 0;
+  EXPECT_THROW(build_three_tier(sim, no_tors, droptail()),
+               std::invalid_argument);
+  ThreeTierConfig no_hosts;
+  no_hosts.hosts_per_tor = 0;
+  EXPECT_THROW(build_three_tier(sim, no_hosts, droptail()),
+               std::invalid_argument);
 }
 
 TEST(ThreeTier, CrossSubtreePacketDelivery) {
@@ -134,7 +149,7 @@ TEST(Topology, QueueAggregationCountsAllPorts) {
   cfg.num_hosts = 3;
   auto rack = build_single_rack(sim, cfg, droptail());
   int queues = 0;
-  rack.topo->for_each_queue([&](net::Queue&) { ++queues; });
+  rack.topo->for_each_queue([&](net::NodeId, net::Queue&) { ++queues; });
   // 3 host uplinks + 3 ToR downlinks.
   EXPECT_EQ(queues, 6);
   EXPECT_EQ(rack.topo->total_drops(), 0u);
@@ -144,6 +159,157 @@ TEST(Topology, OversubscriptionRatioIsFourToOne) {
   ThreeTierConfig cfg;
   const double host_up = cfg.hosts_per_tor * cfg.host_rate_bps;
   EXPECT_DOUBLE_EQ(host_up / cfg.fabric_rate_bps, 4.0);
+}
+
+// --- Fabric roles derived by Topology ------------------------------------
+// Each host's ToR, the agg above that ToR (the ToR's first port one tier
+// up), pod, every switch's tier and the core links, read from the Topology
+// alone and checked against each builder's own role vectors.
+
+net::Switch* agg_above(const Topology& topo, net::Switch& tor) {
+  const int up = topo.up_port(tor);
+  return up < 0 ? nullptr : static_cast<net::Switch*>(tor.port_neighbor(up));
+}
+
+void expect_tier(const Topology& topo, const std::vector<net::Switch*>& sws,
+                 Tier tier) {
+  for (const net::Switch* sw : sws) {
+    EXPECT_EQ(topo.tier(sw->id()), tier) << sw->name();
+  }
+}
+
+TEST(FabricRoles, SingleRack) {
+  sim::Simulator sim;
+  SingleRackConfig cfg;
+  cfg.num_hosts = 8;
+  auto rack = build_single_rack(sim, cfg, droptail());
+  const Topology& topo = *rack.topo;
+  for (std::size_t i = 0; i < topo.num_hosts(); ++i) {
+    net::Host& h = *rack.topo->host(i);
+    EXPECT_EQ(topo.tier(h.id()), Tier::kHost);
+    EXPECT_EQ(&Topology::tor_of(h), rack.tor);
+    EXPECT_EQ(topo.partition_group(h.id()), -1);
+  }
+  expect_tier(topo, {rack.tor}, Tier::kEdge);
+  EXPECT_EQ(agg_above(topo, *rack.tor), nullptr);
+  EXPECT_TRUE(topo.core_links().empty());
+}
+
+void check_three_tier(const ThreeTierConfig& cfg, std::size_t core_links) {
+  sim::Simulator sim;
+  auto tt = build_three_tier(sim, cfg, droptail());
+  const Topology& topo = *tt.topo;
+  for (std::size_t i = 0; i < topo.num_hosts(); ++i) {
+    net::Host& h = *tt.topo->host(i);
+    const std::size_t tor = i / static_cast<std::size_t>(cfg.hosts_per_tor);
+    EXPECT_EQ(topo.tier(h.id()), Tier::kHost);
+    ASSERT_EQ(&Topology::tor_of(h), tt.tors[tor]) << h.name();
+    EXPECT_EQ(agg_above(topo, *tt.tors[tor]),
+              tt.aggs[tor / static_cast<std::size_t>(cfg.tors_per_agg)])
+        << h.name();
+    EXPECT_EQ(topo.partition_group(h.id()), -1);
+  }
+  expect_tier(topo, tt.tors, Tier::kEdge);
+  expect_tier(topo, tt.aggs, Tier::kAgg);
+  expect_tier(topo, {tt.core}, Tier::kCore);
+  for (net::Switch* agg : tt.aggs) EXPECT_EQ(agg_above(topo, *agg), tt.core);
+  EXPECT_EQ(agg_above(topo, *tt.core), nullptr);
+  // Each agg's uplink and the core's port back, per agg.
+  EXPECT_EQ(topo.core_links().size(), core_links);
+}
+
+TEST(FabricRoles, ThreeTierDefault) { check_three_tier(ThreeTierConfig{}, 4); }
+
+TEST(FabricRoles, ThreeTierSixTorsThreePerAgg) {
+  ThreeTierConfig cfg;
+  cfg.num_tors = 6;
+  cfg.tors_per_agg = 3;
+  cfg.hosts_per_tor = 3;
+  check_three_tier(cfg, 4);
+}
+
+class FatTreeRoles : public ::testing::TestWithParam<FatTreeConfig> {};
+
+TEST_P(FatTreeRoles, MatchBuilderRoleVectors) {
+  const FatTreeConfig cfg = GetParam();
+  sim::Simulator sim;
+  const FatTree t = build_fat_tree(sim, cfg, droptail());
+  const Topology& topo = *t.topo;
+  const auto per = [](int n) { return static_cast<std::size_t>(n); };
+  for (std::size_t i = 0; i < topo.num_hosts(); ++i) {
+    net::Host& h = *t.topo->host(i);
+    const std::size_t pod = i / per(cfg.hosts_per_pod());
+    net::Switch* edge = t.edges[i / per(cfg.hosts_per_edge())];
+    EXPECT_EQ(topo.tier(h.id()), Tier::kHost);
+    ASSERT_EQ(&Topology::tor_of(h), edge) << h.name();
+    // The pod's slot-0 agg arbitrates for every edge of the pod.
+    EXPECT_EQ(agg_above(topo, *edge), t.aggs[pod * per(cfg.aggs_per_pod())])
+        << h.name();
+    EXPECT_EQ(topo.partition_group(h.id()), static_cast<int>(pod))
+        << h.name();
+  }
+  expect_tier(topo, t.edges, Tier::kEdge);
+  expect_tier(topo, t.aggs, Tier::kAgg);
+  expect_tier(topo, t.cores, Tier::kCore);
+  for (std::size_t e = 0; e < t.edges.size(); ++e) {
+    EXPECT_EQ(topo.partition_group(t.edges[e]->id()),
+              static_cast<int>(e / per(cfg.edges_per_pod())));
+  }
+  for (std::size_t a = 0; a < t.aggs.size(); ++a) {
+    EXPECT_EQ(topo.partition_group(t.aggs[a]->id()),
+              static_cast<int>(a / per(cfg.aggs_per_pod())));
+  }
+  for (const net::Switch* c : t.cores) {
+    EXPECT_EQ(topo.partition_group(c->id()), -1);
+  }
+  // Every core port and each agg's uplink to it: cores x pods, both ways
+  // (k^3/2 on a full fat-tree).
+  EXPECT_EQ(topo.core_links().size(),
+            2 * per(cfg.num_cores()) * per(cfg.pods()));
+}
+
+FatTreeConfig fat_tree(int k, int pods = 0, double oversub = 1.0) {
+  FatTreeConfig cfg;
+  cfg.k = k;
+  cfg.num_pods = pods;
+  cfg.oversubscription = oversub;
+  return cfg;
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, FatTreeRoles,
+                         ::testing::Values(fat_tree(2), fat_tree(4),
+                                           fat_tree(8), fat_tree(8, 3),
+                                           fat_tree(4, 0, 2.0)),
+                         [](const auto& info) {
+                           const FatTreeConfig& c = info.param;
+                           return "K" + std::to_string(c.k) + "Pods" +
+                                  std::to_string(c.pods()) + "Hosts" +
+                                  std::to_string(c.num_hosts());
+                         });
+
+TEST(FabricRoles, FatTreeK4TelemetryGroups) {
+  sim::Simulator sim;
+  const FatTree t = build_fat_tree(sim, fat_tree(4), droptail());
+  const obs::TelemetryPlane tel(*t.topo, obs::TelemetryConfig{});
+  EXPECT_EQ(tel.group_names(),
+            (std::vector<std::string>{"tier:host", "tier:edge", "tier:agg",
+                                      "tier:core", "pod:0", "pod:1", "pod:2",
+                                      "pod:3"}));
+  // The plane files each queue under its owner's tier and pod.
+  std::map<std::string, int> queues;
+  t.topo->for_each_queue([&](net::NodeId owner, net::Queue&) {
+    ++queues[std::string("tier:") + tier_name(t.topo->tier(owner))];
+    const int pod = t.topo->partition_group(owner);
+    if (pod >= 0) ++queues["pod:" + std::to_string(pod)];
+  });
+  EXPECT_EQ(queues, (std::map<std::string, int>{{"tier:host", 16},
+                                                {"tier:edge", 32},
+                                                {"tier:agg", 32},
+                                                {"tier:core", 16},
+                                                {"pod:0", 20},
+                                                {"pod:1", 20},
+                                                {"pod:2", 20},
+                                                {"pod:3", 20}}));
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ def down(x):
 def row(label, topology, workers, **fields):
     r = {"label": label, "protocol": "DCTCP", "topology": topology,
          "load": 0.6, "num_flows": 1000, "seed": 1, "afct_s": 1.5e-4,
-         "fct_p99_s": 5.5e-4, "app_throughput_bps": 1e9, "loss_rate": 0,
+         "fct_p99_s": 5.5e-4, "app_throughput": 1, "loss_rate": 0,
          "unfinished": 0, "flows": 1002, "fabric_drops": 0,
          "data_packets_sent": 100000, "probes_sent": 0,
          "control_messages_sent": 0, "end_time_s": 0.25,

@@ -105,61 +105,25 @@ std::unique_ptr<topo::TopologyBuilder> make_builder(const Options& o) {
   std::exit(2);
 }
 
-// Hosts are tier 0; a switch's tier is 1 + min tier below it, computed by
-// sweeping switch adjacency until fixpoint (hosts pin the bottom).
-std::vector<int> compute_tiers(topo::Topology& topo) {
-  const std::size_t n = topo.hosts().size() + topo.switches().size();
-  std::vector<int> tier(n, -1);
-  for (const auto& h : topo.hosts()) {
-    tier[static_cast<std::size_t>(h->id())] = 0;
-  }
-  // Distance-to-nearest-host BFS over switch ports; switches adjacent to a
-  // host are tier 1, their host-free neighbors tier 2, and so on.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& sw : topo.switches()) {
-      int best = -1;
-      for (int p = 0; p < sw->num_ports(); ++p) {
-        const int nt = tier[static_cast<std::size_t>(
-            sw->port_neighbor(p)->id())];
-        if (nt >= 0 && (best < 0 || nt + 1 < best)) best = nt + 1;
-      }
-      auto& t = tier[static_cast<std::size_t>(sw->id())];
-      if (best >= 0 && (t < 0 || best < t)) {
-        t = best;
-        changed = true;
-      }
-    }
-  }
-  return tier;
-}
-
-// Conventional tier names for the diagrams; tiers past the named ones fall
-// back to "tier N".
-std::string tier_label(int t) {
-  switch (t) {
-    case 0: return "hosts";
-    case 1: return "edge";
-    case 2: return "agg";
-    case 3: return "core";
-    default: return "tier " + std::to_string(t);
-  }
+// Conventional tier names for the diagrams.
+const char* tier_label(int t) {
+  constexpr const char* kLabels[topo::kNumTiers] = {"hosts", "edge", "agg",
+                                                    "core"};
+  return kLabels[t];
 }
 
 // Tier-collapsed view: one box per tier, aggregated edges labeled with link
 // multiplicity (and cut-link counts under a partition overlay).
 void emit_summary(std::ostream& os, topo::Topology& topo,
-                  const std::vector<int>& tier, const topo::Partition& part,
+                  const topo::Partition& part,
                   const std::set<const net::Link*>& cut) {
   const bool overlay = part.domains > 1;
+  const auto tier = [&topo](net::NodeId id) {
+    return static_cast<int>(topo.tier(id));
+  };
   std::map<int, std::size_t> tier_nodes;
-  for (const auto& h : topo.hosts()) {
-    ++tier_nodes[tier[static_cast<std::size_t>(h->id())]];
-  }
-  for (const auto& sw : topo.switches()) {
-    ++tier_nodes[tier[static_cast<std::size_t>(sw->id())]];
-  }
+  for (const auto& h : topo.hosts()) ++tier_nodes[tier(h->id())];
+  for (const auto& sw : topo.switches()) ++tier_nodes[tier(sw->id())];
 
   // Aggregate undirected adjacencies by (lower tier, higher tier): count
   // each once per unordered node pair, tallying cut links alongside.
@@ -173,8 +137,7 @@ void emit_summary(std::ostream& os, topo::Topology& topo,
                          net::NodeId dst) {
     const auto key = std::minmax(src, dst);
     if (!drawn.insert(key).second) return;
-    const auto tk = std::minmax(tier[static_cast<std::size_t>(src)],
-                                tier[static_cast<std::size_t>(dst)]);
+    const auto tk = std::minmax({tier(src), tier(dst)});
     EdgeAgg& e = agg[tk];
     ++e.links;
     if (overlay && cut.count(&l) > 0) ++e.cut;
@@ -209,20 +172,16 @@ void emit_summary(std::ostream& os, topo::Topology& topo,
   os << "}\n";
 }
 
-void emit(std::ostream& os, topo::BuiltTopology& built, int domains,
+void emit(std::ostream& os, topo::Topology& topo, int domains,
           bool summary) {
-  topo::Topology& topo = built.topo();
-
   topo::Partition part;
   if (domains > 1) part = topo::partition_topology(topo, domains);
   const bool overlay = part.domains > 1;
   std::set<const net::Link*> cut;
   for (const auto& c : part.cut_links) cut.insert(c.link);
 
-  const std::vector<int> tier = compute_tiers(topo);
-
   if (summary) {
-    emit_summary(os, topo, tier, part, cut);
+    emit_summary(os, topo, part, cut);
     std::cerr << "nodes: " << topo.hosts().size() << " hosts + "
               << topo.switches().size() << " switches (summary)\n";
     return;
@@ -237,7 +196,7 @@ void emit(std::ostream& os, topo::BuiltTopology& built, int domains,
   std::map<int, std::vector<const net::Node*>> by_tier;
   for (const auto& h : topo.hosts()) by_tier[0].push_back(h.get());
   for (const auto& sw : topo.switches()) {
-    by_tier[tier[static_cast<std::size_t>(sw->id())]].push_back(sw.get());
+    by_tier[static_cast<int>(topo.tier(sw->id()))].push_back(sw.get());
   }
   for (const auto& [t, nodes] : by_tier) {
     os << "  { rank=same;";
@@ -297,18 +256,17 @@ int main(int argc, char** argv) {
   const topo::QueueFactory q = [](double) {
     return std::make_unique<net::DropTailQueue>(100);
   };
-  std::unique_ptr<topo::BuiltTopology> built =
-      make_builder(o)->build(sim, q);
+  std::unique_ptr<topo::Topology> topo = make_builder(o)->build(sim, q);
 
   if (o.out.empty()) {
-    emit(std::cout, *built, o.domains, o.summary);
+    emit(std::cout, *topo, o.domains, o.summary);
   } else {
     std::ofstream f(o.out);
     if (!f) {
       std::fprintf(stderr, "cannot open %s\n", o.out.c_str());
       return 1;
     }
-    emit(f, *built, o.domains, o.summary);
+    emit(f, *topo, o.domains, o.summary);
     std::fprintf(stderr, "wrote %s\n", o.out.c_str());
   }
   return 0;
