@@ -90,8 +90,8 @@ inline std::vector<Protocol> protocols_from_cli(
 
 // Structured-trace request parsed from a bench's argv:
 //   --trace=<path>              enable tracing, write the merged trace there
-//   --trace-filter=<categories> comma list (flow,packet,arb,endpoint,queue,
-//                               engine) or "all"; default all
+//   --trace-filter=<categories> comma list (flow,packet,arb,endpoint,engine)
+//                               or "all"; default all
 // A path ending in ".chrome.json" selects the Chrome trace_event sink
 // (openable in chrome://tracing); anything else gets schema-versioned JSONL.
 struct TraceOptions {

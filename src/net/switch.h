@@ -211,7 +211,6 @@ class Switch : public Node {
   // it). Selections are identical at any capacity — the memo is a pure cache
   // over flow_path_hash — so this is a perf/memory knob, not a semantic one.
   void set_path_cache_capacity(std::size_t entries);
-  std::size_t path_cache_capacity() const { return path_cache_capacity_; }
 
   // Path-memo effectiveness counters (always on: two increments on a line
   // select_group_port already owns). The profiler aggregates these into the

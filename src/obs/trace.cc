@@ -32,8 +32,6 @@ std::uint32_t category_of(EventType type) {
     case EventType::kAlphaSample:
     case EventType::kRateSample:
       return kEndpointCat;
-    case EventType::kQueueSample:
-      return kQueueCat;
     case EventType::kEngineSample:
     case EventType::kParallelRound:
       return kEngineCat;
@@ -53,7 +51,6 @@ const char* type_name(EventType type) {
     case EventType::kCwndSample: return "ep.cwnd";
     case EventType::kAlphaSample: return "ep.alpha";
     case EventType::kRateSample: return "ep.rate";
-    case EventType::kQueueSample: return "queue.sample";
     case EventType::kEngineSample: return "engine.sample";
     case EventType::kParallelRound: return "engine.round";
   }
@@ -69,7 +66,7 @@ struct CategoryName {
 
 constexpr CategoryName kCategoryNames[] = {
     {"flow", kFlowCat},   {"packet", kPacketCat}, {"arb", kArbCat},
-    {"endpoint", kEndpointCat}, {"queue", kQueueCat}, {"engine", kEngineCat},
+    {"endpoint", kEndpointCat}, {"engine", kEngineCat},
 };
 
 }  // namespace

@@ -46,9 +46,8 @@ enum Category : std::uint32_t {
   kPacketCat = 1u << 1,    // per-packet fabric events: drops, ECN marks
   kArbCat = 1u << 2,       // PASE arbitration decisions (prio queue, Rref)
   kEndpointCat = 1u << 3,  // endpoint state samples: cwnd, alpha, rate
-  kQueueCat = 1u << 4,     // queue occupancy samples (telemetry plane)
-  kEngineCat = 1u << 5,    // engine self-profiling (worker-count dependent!)
-  kAllCategories = (1u << 6) - 1,
+  kEngineCat = 1u << 4,    // engine self-profiling (worker-count dependent!)
+  kAllCategories = (1u << 5) - 1,
 };
 
 enum class EventType : std::uint8_t {
@@ -62,7 +61,6 @@ enum class EventType : std::uint8_t {
   kCwndSample,         // flow=id, v0=cwnd (pkts), v1=srtt (s)
   kAlphaSample,        // flow=id, v0=alpha, v1=marked fraction this window
   kRateSample,         // flow=id, v0=rate_bps, a=paused (0/1)
-  kQueueSample,        // a=queue id, b=occupancy pkts, v0=drops, v1=marks
   kEngineSample,       // a=domain, v0=events executed, v1=heap closures
   kParallelRound,      // a=rounds, b=cross posts, v0=mean horizon width (s),
                        // v1=drain rounds — all deltas for this window

@@ -139,16 +139,6 @@ std::string Trace::to_jsonl() const {
         out += ",\"paused\":";
         append_json_uint(out, e.a);
         break;
-      case EventType::kQueueSample:
-        out += ",\"queue\":";
-        append_queue_name(out, *this, e.a);
-        out += ",\"occupancy\":";
-        append_json_uint(out, e.b);
-        out += ",\"drops\":";
-        append_json_number(out, e.v0);
-        out += ",\"marks\":";
-        append_json_number(out, e.v1);
-        break;
       case EventType::kEngineSample:
         out += ",\"domain\":";
         append_json_uint(out, e.a);
@@ -265,12 +255,6 @@ std::string Trace::to_chrome_json() const {
         begin_record("C", buf, "endpoint", e.t);
         out += ",\"args\":{\"rate_bps\":";
         append_json_number(out, e.v0);
-        out += "}}";
-        break;
-      case EventType::kQueueSample:
-        begin_record("C", queue_name(e.a) + ".occupancy", "queue", e.t);
-        out += ",\"args\":{\"pkts\":";
-        append_json_uint(out, e.b);
         out += "}}";
         break;
       case EventType::kEngineSample:

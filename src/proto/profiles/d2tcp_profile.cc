@@ -14,23 +14,11 @@ class D2tcpProfile final : public EcnWindowProfile {
   std::string_view name() const override { return "d2tcp"; }
   std::string_view display_name() const override { return "D2TCP"; }
 
-  std::unique_ptr<transport::Sender> make_sender(
-      RunContext& ctx, const transport::Flow& flow,
-      net::Host& src) const override {
-    return std::make_unique<transport::D2tcpSender>(ctx.sim, src, flow,
-                                                    window_options(ctx));
-  }
-
-  EndpointLayout endpoint_layout() const override {
-    return {.sender_size = sizeof(transport::D2tcpSender),
-            .sender_align = alignof(transport::D2tcpSender)};
-  }
-
-  transport::Sender* construct_sender(void* mem, RunContext& ctx,
-                                      const transport::Flow& flow,
-                                      net::Host& src) const override {
-    return new (mem)
-        transport::D2tcpSender(ctx.sim, src, flow, window_options(ctx));
+  transport::Sender* make_sender(EndpointArena& arena, RunContext& ctx,
+                                 const transport::Flow& flow,
+                                 net::Host& src) const override {
+    return arena.emplace<transport::D2tcpSender>(ctx.sim, src, flow,
+                                                 window_options(ctx));
   }
 };
 

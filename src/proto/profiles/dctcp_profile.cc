@@ -14,23 +14,11 @@ class DctcpProfile final : public EcnWindowProfile {
   std::string_view name() const override { return "dctcp"; }
   std::string_view display_name() const override { return "DCTCP"; }
 
-  std::unique_ptr<transport::Sender> make_sender(
-      RunContext& ctx, const transport::Flow& flow,
-      net::Host& src) const override {
-    return std::make_unique<transport::DctcpSender>(ctx.sim, src, flow,
-                                                    window_options(ctx));
-  }
-
-  EndpointLayout endpoint_layout() const override {
-    return {.sender_size = sizeof(transport::DctcpSender),
-            .sender_align = alignof(transport::DctcpSender)};
-  }
-
-  transport::Sender* construct_sender(void* mem, RunContext& ctx,
-                                      const transport::Flow& flow,
-                                      net::Host& src) const override {
-    return new (mem)
-        transport::DctcpSender(ctx.sim, src, flow, window_options(ctx));
+  transport::Sender* make_sender(EndpointArena& arena, RunContext& ctx,
+                                 const transport::Flow& flow,
+                                 net::Host& src) const override {
+    return arena.emplace<transport::DctcpSender>(ctx.sim, src, flow,
+                                                 window_options(ctx));
   }
 };
 

@@ -14,23 +14,11 @@ class L2dctProfile final : public EcnWindowProfile {
   std::string_view name() const override { return "l2dct"; }
   std::string_view display_name() const override { return "L2DCT"; }
 
-  std::unique_ptr<transport::Sender> make_sender(
-      RunContext& ctx, const transport::Flow& flow,
-      net::Host& src) const override {
-    return std::make_unique<transport::L2dctSender>(ctx.sim, src, flow,
-                                                    window_options(ctx));
-  }
-
-  EndpointLayout endpoint_layout() const override {
-    return {.sender_size = sizeof(transport::L2dctSender),
-            .sender_align = alignof(transport::L2dctSender)};
-  }
-
-  transport::Sender* construct_sender(void* mem, RunContext& ctx,
-                                      const transport::Flow& flow,
-                                      net::Host& src) const override {
-    return new (mem)
-        transport::L2dctSender(ctx.sim, src, flow, window_options(ctx));
+  transport::Sender* make_sender(EndpointArena& arena, RunContext& ctx,
+                                 const transport::Flow& flow,
+                                 net::Host& src) const override {
+    return arena.emplace<transport::L2dctSender>(ctx.sim, src, flow,
+                                                 window_options(ctx));
   }
 };
 

@@ -82,22 +82,10 @@ class PaseProfile final : public TransportProfile {
     return std::make_unique<PaseControlPlane>(sim_of, ctx.topo, pc);
   }
 
-  std::unique_ptr<transport::Sender> make_sender(
-      RunContext& ctx, const transport::Flow& flow,
-      net::Host& src) const override {
-    return std::make_unique<core::PaseSender>(ctx.sim, src, flow,
-                                              plane_of(ctx));
-  }
-
-  EndpointLayout endpoint_layout() const override {
-    return {.sender_size = sizeof(core::PaseSender),
-            .sender_align = alignof(core::PaseSender)};
-  }
-
-  transport::Sender* construct_sender(void* mem, RunContext& ctx,
-                                      const transport::Flow& flow,
-                                      net::Host& src) const override {
-    return new (mem) core::PaseSender(ctx.sim, src, flow, plane_of(ctx));
+  transport::Sender* make_sender(EndpointArena& arena, RunContext& ctx,
+                                 const transport::Flow& flow,
+                                 net::Host& src) const override {
+    return arena.emplace<core::PaseSender>(ctx.sim, src, flow, plane_of(ctx));
   }
 
   void before_flow_start(RunContext& ctx, transport::Sender&,

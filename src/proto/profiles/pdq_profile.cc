@@ -61,27 +61,13 @@ class PdqProfile final : public TransportProfile {
     return cp;
   }
 
-  std::unique_ptr<transport::Sender> make_sender(
-      RunContext& ctx, const transport::Flow& flow,
-      net::Host& src) const override {
+  transport::Sender* make_sender(EndpointArena& arena, RunContext& ctx,
+                                 const transport::Flow& flow,
+                                 net::Host& src) const override {
     transport::PdqSenderOptions o;
     o.initial_rtt = ctx.base_rtt;
     o.probe_interval = ctx.params.pdq_probe_rtts * ctx.base_rtt;
-    return std::make_unique<transport::PdqSender>(ctx.sim, src, flow, o);
-  }
-
-  EndpointLayout endpoint_layout() const override {
-    return {.sender_size = sizeof(transport::PdqSender),
-            .sender_align = alignof(transport::PdqSender)};
-  }
-
-  transport::Sender* construct_sender(void* mem, RunContext& ctx,
-                                      const transport::Flow& flow,
-                                      net::Host& src) const override {
-    transport::PdqSenderOptions o;
-    o.initial_rtt = ctx.base_rtt;
-    o.probe_interval = ctx.params.pdq_probe_rtts * ctx.base_rtt;
-    return new (mem) transport::PdqSender(ctx.sim, src, flow, o);
+    return arena.emplace<transport::PdqSender>(ctx.sim, src, flow, o);
   }
 };
 

@@ -28,27 +28,13 @@ class PfabricProfile final : public TransportProfile {
     };
   }
 
-  std::unique_ptr<transport::Sender> make_sender(
-      RunContext& ctx, const transport::Flow& flow,
-      net::Host& src) const override {
+  transport::Sender* make_sender(EndpointArena& arena, RunContext& ctx,
+                                 const transport::Flow& flow,
+                                 net::Host& src) const override {
     transport::WindowSenderOptions w =
         transport::PfabricSender::default_window_options();
     w.initial_rtt = ctx.base_rtt;
-    return std::make_unique<transport::PfabricSender>(ctx.sim, src, flow, w);
-  }
-
-  EndpointLayout endpoint_layout() const override {
-    return {.sender_size = sizeof(transport::PfabricSender),
-            .sender_align = alignof(transport::PfabricSender)};
-  }
-
-  transport::Sender* construct_sender(void* mem, RunContext& ctx,
-                                      const transport::Flow& flow,
-                                      net::Host& src) const override {
-    transport::WindowSenderOptions w =
-        transport::PfabricSender::default_window_options();
-    w.initial_rtt = ctx.base_rtt;
-    return new (mem) transport::PfabricSender(ctx.sim, src, flow, w);
+    return arena.emplace<transport::PfabricSender>(ctx.sim, src, flow, w);
   }
 };
 

@@ -4,8 +4,8 @@
 // in the scenario monolith:
 //   (a) the fabric: which queue discipline each link gets, with the paper's
 //       Table 3 capacities/ECN thresholds as defaults;
-//   (b) the endpoints: sender/receiver factories invoked per flow by the
-//       harness as the workload arrives;
+//   (b) the endpoints: a sender factory invoked per flow by the harness as
+//       the workload arrives, building into the run's slab arena;
 //   (c) optional control-plane setup: PASE's arbitration plane, PDQ's
 //       per-port controllers — built once per run, owned by the run.
 //
@@ -18,11 +18,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string_view>
 
 #include "core/control_stats.h"
+#include "proto/endpoint_arena.h"
 #include "proto/profile_params.h"
 #include "proto/protocol.h"
 #include "topo/topology.h"
@@ -69,20 +69,6 @@ struct RunContext {
   }
 };
 
-// Concrete storage geometry of a profile's endpoint types. Profiles that
-// publish a valid layout let the harness keep senders/receivers in typed slab
-// arenas (proto/endpoint_arena.h) sized without per-flow virtual construction;
-// an invalid layout (sender_size == 0, the default) keeps the heap-allocating
-// make_sender/make_receiver path — external/test profiles need not opt in.
-struct EndpointLayout {
-  std::size_t sender_size = 0;
-  std::size_t sender_align = 0;
-  std::size_t receiver_size = sizeof(transport::Receiver);
-  std::size_t receiver_align = alignof(transport::Receiver);
-
-  bool valid() const { return sender_size > 0 && sender_align > 0; }
-};
-
 class TransportProfile {
  public:
   virtual ~TransportProfile() = default;
@@ -120,28 +106,14 @@ class TransportProfile {
     return nullptr;
   }
 
-  // (b) endpoints, invoked per flow at its start time.
-  virtual std::unique_ptr<transport::Sender> make_sender(
-      RunContext& ctx, const transport::Flow& flow, net::Host& src) const = 0;
-  virtual std::unique_ptr<transport::Receiver> make_receiver(
-      RunContext& ctx, const transport::Flow& flow, net::Host& dst) const;
-
-  // (b') slab variants. A profile advertising a valid endpoint_layout()
-  // promises construct_sender/construct_receiver placement-construct exactly
-  // the advertised types into caller-owned slots of that size/alignment. The
-  // caller (workload/endpoint_table.h) owns the storage and runs the virtual
-  // destructor before recycling the slot; ordinary profiles inherit the
-  // invalid layout and are served by the unique_ptr factories above.
-  virtual EndpointLayout endpoint_layout() const { return {}; }
-  virtual transport::Sender* construct_sender(void* mem, RunContext& ctx,
-                                              const transport::Flow& flow,
-                                              net::Host& src) const;
-  // Default: placement-new of the base transport::Receiver, mirroring
-  // make_receiver — correct for every profile that keeps receiver_size at its
-  // default, i.e. all six built-ins.
-  virtual transport::Receiver* construct_receiver(void* mem, RunContext& ctx,
-                                                  const transport::Flow& flow,
-                                                  net::Host& dst) const;
+  // (b) the sender, built per flow as the flow starts: one
+  // arena.emplace<ItsSender>(...), on ctx.sim (the source's domain clock).
+  // The arena holds only this profile's sender type; the harness destroys
+  // the sender through the returned pointer when the flow retires. Every
+  // receiver is a plain transport::Receiver, which the harness builds.
+  virtual transport::Sender* make_sender(EndpointArena& arena, RunContext& ctx,
+                                         const transport::Flow& flow,
+                                         net::Host& src) const = 0;
 
   // Called after the pair exists and completion callbacks are wired, before
   // the sender starts (PASE hooks the receiver into the arbitration plane).

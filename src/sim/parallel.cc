@@ -60,13 +60,6 @@ void ParallelEngine::post(int src, int dst, Time deliver_t,
   cross_posts_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::size_t ParallelEngine::pending_events() const {
-  std::size_t n = 0;
-  for (const auto& s : sims_) n += s->pending_events();
-  for (const auto& box : mail_) n += box.size();
-  return n;
-}
-
 void ParallelEngine::start_threads() {
   threads_started_ = true;
   threads_.reserve(workers_.size() - 1);

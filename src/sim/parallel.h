@@ -86,7 +86,6 @@ class ParallelEngine {
   // Minimum propagation delay over all cut links; with more than one domain
   // it must be positive and set before the first run_until.
   void set_lookahead(Time lookahead) { lookahead_ = lookahead; }
-  Time lookahead() const { return lookahead_; }
 
   // Runs once on each worker thread before its first round (and once on the
   // caller's thread, worker 0, at the first run_until): thread-local warmup
@@ -116,10 +115,6 @@ class ParallelEngine {
   // Clock reached by run_until so far (all domains agree at return).
   Time now() const { return now_; }
 
-  // Sum of pending events across domains plus undelivered mailbox records;
-  // only meaningful between run_until calls.
-  std::size_t pending_events() const;
-
   // --- Self-profiling (read between run_until calls) ----------------------
   // Horizon decisions made so far (each picks one window or ends the chunk).
   std::uint64_t rounds_executed() const { return rounds_; }
@@ -134,8 +129,8 @@ class ParallelEngine {
   std::uint64_t drains_executed() const { return drains_; }
   // Windows after which no domain had posted: their drain was elided.
   std::uint64_t quiet_rounds() const { return quiet_rounds_; }
-  // Mean width H - m (seconds) of the windows run so far: lookahead(), up
-  // to rounding.
+  // Mean width H - m (seconds) of the windows run so far: the lookahead,
+  // up to rounding.
   double mean_horizon_width() const {
     return window_rounds_ == 0
                ? 0.0

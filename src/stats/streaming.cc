@@ -88,7 +88,6 @@ LogHistogram::LogHistogram(double min_value, double max_value,
       static_cast<std::size_t>(std::ceil(decades * buckets_per_decade)) + 1;
   counts_.assign(n, 0);
   inv_log_ratio_ = buckets_per_decade;  // buckets per decade == 1/log10(ratio)
-  ratio_ = std::pow(10.0, 1.0 / buckets_per_decade);
 }
 
 int LogHistogram::bucket_of(double x) const {
@@ -159,11 +158,6 @@ void StreamingFlowStats::add(const FlowRecord& rec) {
   const double fct = rec.fct();
   ++completed_;
   fct_sum_ += fct;
-  fct_min_ = completed_ == 1 ? fct : std::min(fct_min_, fct);
-  fct_max_ = completed_ == 1 ? fct : std::max(fct_max_, fct);
-  p50_.add(fct);
-  p95_.add(fct);
-  p99_.add(fct);
   hist_.add(fct);
 }
 

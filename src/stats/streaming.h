@@ -9,7 +9,8 @@
 //
 //   - P2Quantile: the P-squared algorithm (Jain & Chlamtac, CACM 1985) — five
 //     markers tracking one quantile with piecewise-parabolic adjustment.
-//     Cheap (O(1) per sample) but heuristic; exported as advisory metrics.
+//     Cheap (O(1) per sample) but heuristic; the telemetry plane's whole-run
+//     utilization p99 uses it.
 //   - LogHistogram: fixed-size log-bucketed counts. percentile() walks the
 //     cumulative counts to the bucket holding the requested rank, so its
 //     error is bounded by one bucket width by construction — this is the
@@ -18,7 +19,7 @@
 //     pin (see tests/streaming_stats_test.cc).
 //   - StreamingFlowStats: the FlowRecord sink — running mean/count for AFCT,
 //     deadline hit/miss counters for application throughput, unfinished and
-//     terminated counts, plus the sketches above for the FCT distribution.
+//     terminated counts, plus the histogram above for the FCT distribution.
 #pragma once
 
 #include <array>
@@ -80,15 +81,10 @@ class LogHistogram {
   // stats::fct_cdf over full record vectors.
   std::vector<CdfPoint> cdf(int num_points) const;
 
-  // One bucket width in log space: reported percentiles are within this
-  // multiplicative factor of the exact order statistic.
-  double bucket_ratio() const { return ratio_; }
-
  private:
   double min_value_;
   double log_min_;
   double inv_log_ratio_;
-  double ratio_;
   std::uint64_t count_ = 0;
   std::vector<std::uint64_t> counts_;
 };
@@ -127,14 +123,6 @@ class StreamingFlowStats {
   std::uint64_t background_flows() const { return background_; }
   std::uint64_t deadline_flows() const { return with_deadline_; }
   std::uint64_t deadline_met() const { return met_deadline_; }
-  double fct_min() const { return completed_ ? fct_min_ : 0.0; }
-  double fct_max() const { return completed_ ? fct_max_ : 0.0; }
-
-  // Advisory P-squared marker estimates (O(1) but heuristic; the histogram
-  // is the reported representation).
-  double p2_p50() const { return p50_.value(); }
-  double p2_p95() const { return p95_.value(); }
-  double p2_p99() const { return p99_.value(); }
 
   const LogHistogram& histogram() const { return hist_; }
 
@@ -147,11 +135,6 @@ class StreamingFlowStats {
   std::uint64_t with_deadline_ = 0;
   std::uint64_t met_deadline_ = 0;
   double fct_sum_ = 0.0;
-  double fct_min_ = 0.0;
-  double fct_max_ = 0.0;
-  P2Quantile p50_{0.50};
-  P2Quantile p95_{0.95};
-  P2Quantile p99_{0.99};
   LogHistogram hist_;
 };
 

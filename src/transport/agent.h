@@ -9,7 +9,6 @@
 
 #include "net/host.h"
 #include "transport/flow.h"
-#include "transport/flow_columns.h"
 
 namespace pase::transport {
 
@@ -38,25 +37,7 @@ class Sender : public net::PacketSink {
   // Loss-recovery probes sent (PASE/PDQ style); 0 for other protocols.
   virtual std::uint64_t probes_sent() const { return 0; }
 
-  // Binds this sender to one row of the workload's SoA state columns
-  // (transport/flow_columns.h); publish_* below become cheap stores into that
-  // row. Unbound senders (tests and benches that build endpoints directly)
-  // publish into nothing.
-  void bind_state_columns(FlowStateColumns* cols, std::uint32_t row) {
-    cols_ = cols;
-    col_row_ = row;
-  }
-
  protected:
-  void publish_cwnd(double packets) {
-    if (cols_) cols_->cwnd[col_row_] = packets;
-  }
-  void publish_srtt(double seconds) {
-    if (cols_) cols_->srtt[col_row_] = seconds;
-  }
-  void publish_bytes_left(double bytes) {
-    if (cols_) cols_->bytes_left[col_row_] = bytes;
-  }
   void mark_finished() {
     if (finished_) return;
     finished_ = true;
@@ -72,8 +53,6 @@ class Sender : public net::PacketSink {
   Flow flow_;
   bool finished_ = false;
   bool terminated_ = false;
-  FlowStateColumns* cols_ = nullptr;
-  std::uint32_t col_row_ = 0;
 };
 
 }  // namespace pase::transport

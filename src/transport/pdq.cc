@@ -252,8 +252,6 @@ void PdqSender::process_cumulative_ack(const net::Packet& ack) {
   if (ack.ack_seq > snd_una_) {
     snd_una_ = ack.ack_seq;
     if (next_to_send_ < snd_una_) next_to_send_ = snd_una_;
-    publish_bytes_left(static_cast<double>(flow().size_bytes) -
-                       static_cast<double>(snd_una_) * net::kMss);
     if (snd_una_ >= total_) {
       pace_timer_.cancel();
       probe_timer_.cancel();

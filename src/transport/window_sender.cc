@@ -33,7 +33,6 @@ void WindowSender::start() {
 
 void WindowSender::set_cwnd(double w) {
   cwnd_ = std::clamp(w, 1.0, opts_.max_cwnd);
-  publish_cwnd(cwnd_);
 }
 
 sim::Time WindowSender::base_rto() const {
@@ -90,10 +89,8 @@ void WindowSender::process_ack(const net::Packet& ack) {
       if (sample > 0) {
         rttvar_ = 0.75 * rttvar_ + 0.25 * std::abs(srtt_ - sample);
         srtt_ = 0.875 * srtt_ + 0.125 * sample;
-        publish_srtt(srtt_);
       }
     }
-    publish_bytes_left(remaining_bytes());
     if (snd_una_ >= total_) {
       rto_timer_.cancel();
       mark_finished();

@@ -244,6 +244,12 @@ void validate_generic(const ScenarioConfig& cfg) {
       cfg.topology == ScenarioConfig::TopologyKind::kSingleRack) {
     bad_config("left-right traffic needs a topology with a fabric tier");
   }
+  // The sample grid must advance, or the run loop never leaves a chunk.
+  if (cfg.telemetry.enabled && !(std::isfinite(cfg.telemetry.sample_period) &&
+                                 cfg.telemetry.sample_period > 0.0)) {
+    bad_config("telemetry.sample_period must be positive and finite, got " +
+               std::to_string(cfg.telemetry.sample_period));
+  }
 }
 
 // An explicit flow list is outside input: a host index past the table
@@ -285,15 +291,19 @@ stats::FlowRecord record_from(const transport::Flow& f) {
 // Flows exist in three forms over their life:
 //   pending  — a compact descriptor in `flows_`; no endpoints, no demux
 //              entries, no per-flow heap.
-//   live     — an EndpointSlot: sender/receiver placement-constructed into
-//              the profile's slab arenas, SoA row bound, demux registered.
+//   live     — an EndpointSlot: sender/receiver built into the slab
+//              arenas, the flow's record kept in the slot, demux registered.
 //   retired  — after sender finish + receiver completion (or termination),
 //              one full 10 ms chunk of quarantine (longer than any in-flight
 //              packet's remaining life: path delays are microseconds and
 //              finished senders cancel their timers), then the endpoints are
-//              destroyed and the slot recycled.
+//              destroyed, the record folded into the run's sink, and the
+//              slot recycled.
 // Packet counters are accumulated at retirement — sums are commutative, so
 // totals match an everything-lives-forever driver bit for bit.
+// Records fold in retirement order, then live slots in slot order, then
+// never-staged flows in start order; the streaming sink's float sums depend
+// on that order.
 //
 // Launches. At each chunk barrier the flows that start inside the chunk are
 // staged on their source's domain, in start order (stable on flow index).
@@ -399,6 +409,7 @@ class Run {
   void arm(DomainState& ds);
   void launch(DomainState& ds);
   void apply_deferred();
+  void fold(std::uint32_t i, const stats::FlowRecord& rec);
   void retire(std::uint32_t s);
   void recycle_tick();
   void finalize_flows();
@@ -436,8 +447,10 @@ class Run {
   // Setup roots the control plane claimed (delegation timers); flow launches
   // index past them.
   std::uint32_t setup_base_ = 0;
-  std::vector<stats::FlowRecord> records_;  // exact mode: index == flow index
-  std::unique_ptr<stats::StreamingFlowStats> streaming_;  // streaming mode
+  // The run's record sink: exact mode keeps every record, indexed by flow;
+  // streaming mode folds each into a fixed-size aggregate.
+  std::vector<stats::FlowRecord> records_;
+  std::unique_ptr<stats::StreamingFlowStats> streaming_;
   // Flow indices in start order (stable, so same-instant flows keep
   // generation order); flows before next_pending_ have been staged.
   std::vector<std::uint32_t> order_;
@@ -520,7 +533,6 @@ Run::Run(const ScenarioConfig& cfg, const proto::TransportProfile& profile,
   }
   setup_base_ = control_ ? control_->setup_events() : 0;
 
-  table_.init(profile);
   for (int d = 0; d < n_dom; ++d) {
     domains_.push_back({this, &engine_.domain(d), {}, 0, {}});
   }
@@ -559,18 +571,16 @@ Run::Run(const ScenarioConfig& cfg, const proto::TransportProfile& profile,
     net::PacketPool::local().prewarm(worker_packets);
   });
 
-  // Map generator host indices onto node ids; in exact mode pre-create the
-  // records (flows that never launch keep finish = -1).
-  const bool exact = cfg.stats_mode == ScenarioConfig::StatsMode::kExact;
-  if (exact) {
-    records_.reserve(flows_.size());
+  // Every flow's record reaches the run's sink exactly once (see fold()).
+  if (cfg.stats_mode == ScenarioConfig::StatsMode::kExact) {
+    records_.resize(flows_.size());
   } else {
     streaming_ = std::make_unique<stats::StreamingFlowStats>();
   }
+  // Map generator host indices onto node ids.
   for (auto& f : flows_) {
     f.src = topo.host(static_cast<std::size_t>(f.src))->id();
     f.dst = topo.host(static_cast<std::size_t>(f.dst))->id();
-    if (exact) records_.push_back(record_from(f));
     if (!f.background) ++outstanding_;
   }
   order_.resize(flows_.size());
@@ -595,7 +605,7 @@ std::uint32_t Run::materialize(std::uint32_t i) {
   const std::uint32_t s = table_.acquire();
   EndpointSlot& slot = table_.slot(s);
   slot.flow_index = i;
-  if (streaming_) slot.record = record_from(f);
+  slot.record = record_from(f);
   table_.construct(s, profile_, dctx_[sd], dctx_[dd], f, *src, *dst);
 
   const auto on_received = [ds = &domains_[dd], s](transport::Receiver& r) {
@@ -653,7 +663,7 @@ void Run::stage_until(sim::Time horizon) {
 void Run::complete(std::uint32_t s, Outcome outcome, sim::Time time) {
   EndpointSlot& sl = table_.slot(s);
   if (outcome != Outcome::kReceived) sl.sender_done = true;
-  stats::FlowRecord& rec = streaming_ ? sl.record : records_[sl.flow_index];
+  stats::FlowRecord& rec = sl.record;
   if (outcome != Outcome::kFinished && rec.finish < 0.0 && !rec.terminated) {
     if (outcome == Outcome::kReceived) {
       rec.finish = time;
@@ -690,15 +700,24 @@ void Run::apply_deferred() {
   }
 }
 
-// Destroys a retired (or end-of-run live) slot after folding its counters
-// and, in streaming mode, its record.
+// Sends flow i's final record to the run's sink: the streaming aggregate,
+// or in exact mode the record vector, indexed by flow.
+void Run::fold(std::uint32_t i, const stats::FlowRecord& rec) {
+  if (streaming_) {
+    streaming_->add(rec);
+  } else {
+    records_[i] = rec;
+  }
+}
+
+// Destroys a retired slot after folding its counters and its record.
 void Run::retire(std::uint32_t s) {
   EndpointSlot& sl = table_.slot(s);
   data_packets_sent_ += sl.sender->data_packets_sent();
   probes_sent_ += sl.sender->probes_sent();
   sl.src->unregister_flow(sl.flow_id);
   sl.dst->unregister_flow(sl.flow_id);
-  if (streaming_) streaming_->add(sl.record);
+  fold(sl.flow_index, sl.record);
   table_.destroy(s);
   table_.release(s);
 }
@@ -711,8 +730,8 @@ void Run::recycle_tick() {
   std::swap(retire_ready_, retire_pending_);
 }
 
-// Flushes the quarantine, folds still-live slots (unfinished and background
-// flows), and in streaming mode accounts for descriptors never staged.
+// Flushes the quarantine, then folds still-live slots (unfinished and
+// background flows) and the descriptors never staged.
 void Run::finalize_flows() {
   for (std::uint32_t s : retire_ready_) retire(s);
   retire_ready_.clear();
@@ -723,12 +742,10 @@ void Run::finalize_flows() {
     if (!sl.in_use || sl.sender == nullptr) continue;
     data_packets_sent_ += sl.sender->data_packets_sent();
     probes_sent_ += sl.sender->probes_sent();
-    if (streaming_) streaming_->add(sl.record);
+    fold(sl.flow_index, sl.record);
   }
-  if (streaming_) {
-    for (std::size_t p = next_pending_; p < order_.size(); ++p) {
-      streaming_->add(record_from(flows_[order_[p]]));
-    }
+  for (std::size_t p = next_pending_; p < order_.size(); ++p) {
+    fold(order_[p], record_from(flows_[order_[p]]));
   }
 }
 

@@ -76,7 +76,7 @@ struct ScenarioConfig : proto::ProfileParams {
   //                are computed over the full vector (the historical
   //                behavior, and what the golden-fingerprint tests consume).
   //   kStreaming — fold each record into O(1)-memory estimators
-  //                (stats/streaming.h: running mean, P² quantiles, a
+  //                (stats/streaming.h: running mean and counters, a
   //                log-bucketed histogram) as flows retire and keep NO
   //                per-flow records. Million-flow runs then carry no
   //                O(flows) stats state; percentiles are accurate to within
@@ -129,8 +129,9 @@ struct ScenarioConfig : proto::ProfileParams {
 };
 
 struct ScenarioResult {
-  // Per-flow outcomes in flow-arrival order. Empty in streaming-stats mode
-  // (use the metric methods below, which dispatch to `streaming`).
+  // Per-flow outcomes, indexed like the run's flow list. Empty in
+  // streaming-stats mode (use the metric methods below, which dispatch to
+  // `streaming`).
   std::vector<stats::FlowRecord> records;
   // Constant-memory aggregation; set iff the run used StatsMode::kStreaming.
   // Shared so results stay copyable.

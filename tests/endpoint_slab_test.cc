@@ -1,16 +1,16 @@
 // Slab-backed endpoint storage: arena mechanics and recycling equivalence.
 //
-// The EndpointArena hands out fixed-size slots from chunks that never move,
-// so endpoint pointers stay stable while memory tracks peak concurrency. The
-// scenario-level contract — recycling retired endpoints must be invisible to
-// the event path — is pinned two ways: a recycle-on run reproduces a
-// recycle-off run record for record, and growing the workload at fixed
-// concurrency does not grow the slabs.
+// The EndpointArena builds objects into fixed-size slots from chunks that
+// never move, so endpoint pointers stay stable while memory tracks peak
+// concurrency. The scenario-level contract — recycling retired endpoints
+// must be invisible to the event path — is pinned two ways: a recycle-on run
+// reproduces a recycle-off run record for record, and growing the workload
+// at fixed concurrency does not grow the slabs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
+#include <cstring>
 #include <vector>
 
 #include "proto/endpoint_arena.h"
@@ -22,77 +22,118 @@ namespace {
 
 // --- EndpointArena unit tests ------------------------------------------------
 
+struct alignas(16) Blob48 {
+  char b[48];
+};
+struct alignas(16) Blob64 {
+  char b[64];
+};
+struct alignas(32) Blob32 {
+  char b[32];
+};
+
+// A polymorphic type whose second base sits past the object's start, as a
+// sender's Sender base may sit past its slot's: destroying through that base
+// must still free the slot emplace() handed out.
+struct Front {
+  virtual ~Front() = default;
+  char pad[24] = {};
+};
+struct Back {
+  virtual ~Back() = default;
+};
+struct TwoBases final : Front, Back {
+  explicit TwoBases(int* dtors) : dtors(dtors) {}
+  ~TwoBases() override { ++*dtors; }
+  int* dtors;
+};
+
 TEST(EndpointArena, AcquireHandsOutDistinctAlignedSlots) {
   proto::EndpointArena arena;
-  arena.init(/*slot_size=*/48, /*slot_align=*/16, /*slots_per_chunk=*/4);
-  std::set<void*> seen;
-  for (int i = 0; i < 16; ++i) {
-    void* p = arena.acquire();
+  // One slot past a full chunk, so the second chunk is allocated too.
+  constexpr std::size_t n = proto::EndpointArena::kSlotsPerChunk + 1;
+  std::vector<Blob48*> blobs;
+  for (std::size_t i = 0; i < n; ++i) {
+    Blob48* p = arena.emplace<Blob48>();
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 16, 0u);
-    EXPECT_TRUE(seen.insert(p).second) << "slot handed out twice";
+    std::memset(p->b, static_cast<int>(i % 251), sizeof(p->b));
+    blobs.push_back(p);
   }
-  EXPECT_EQ(arena.live(), 16u);
-  EXPECT_EQ(arena.grow_events(), 4u);  // 16 slots at 4 per chunk
+  // Every object kept its bytes: no two slots overlap.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const char c : blobs[i]->b) {
+      ASSERT_EQ(c, static_cast<char>(i % 251)) << "slot " << i << " overlaps";
+    }
+  }
+  EXPECT_EQ(arena.live(), n);
+  EXPECT_EQ(arena.grow_events(), 2u);
 }
 
 TEST(EndpointArena, ReleaseRecyclesBeforeGrowing) {
   proto::EndpointArena arena;
-  arena.init(64, 8, /*slots_per_chunk=*/8);
+  int dtors = 0;
   std::vector<void*> slots;
-  for (int i = 0; i < 8; ++i) slots.push_back(arena.acquire());
+  std::vector<Back*> live;
+  for (int i = 0; i < 8; ++i) {
+    TwoBases* t = arena.emplace<TwoBases>(&dtors);
+    slots.push_back(t);
+    live.push_back(t);
+  }
+  ASSERT_NE(static_cast<void*>(live[0]), slots[0])
+      << "the second base must sit past the slot start";
   ASSERT_EQ(arena.grow_events(), 1u);
-  // A full release/acquire cycle at the same concurrency reuses the chunk.
-  for (void* p : slots) arena.release(p);
+  // A full destroy/emplace cycle at the same concurrency reuses the chunk.
+  for (Back* b : live) arena.destroy(b);
   EXPECT_EQ(arena.live(), 0u);
   for (int round = 0; round < 50; ++round) {
-    std::vector<void*> again;
-    for (int i = 0; i < 8; ++i) again.push_back(arena.acquire());
-    for (void* p : again) {
-      EXPECT_EQ(std::count(slots.begin(), slots.end(), p), 1)
-          << "recycled acquire returned a pointer outside the first chunk";
-      arena.release(p);
+    live.clear();
+    for (int i = 0; i < 8; ++i) {
+      TwoBases* t = arena.emplace<TwoBases>(&dtors);
+      EXPECT_EQ(std::count(slots.begin(), slots.end(), static_cast<void*>(t)),
+                1)
+          << "recycled emplace returned a pointer outside the first chunk";
+      live.push_back(t);
     }
+    for (Back* b : live) arena.destroy(b);
   }
   EXPECT_EQ(arena.grow_events(), 1u) << "steady-state churn grew the arena";
-}
-
-TEST(EndpointArena, ReservePreallocatesCapacity) {
-  proto::EndpointArena arena;
-  arena.init(32, 8, /*slots_per_chunk=*/16);
-  arena.reserve(100);
-  const std::uint64_t setup_grows = arena.grow_events();
-  EXPECT_GE(arena.capacity(), 100u);
-  std::vector<void*> slots;
-  for (int i = 0; i < 100; ++i) slots.push_back(arena.acquire());
-  EXPECT_EQ(arena.grow_events(), setup_grows)
-      << "acquires within reserved capacity allocated";
-  for (void* p : slots) arena.release(p);
+  EXPECT_EQ(dtors, 8 * 51);
 }
 
 // --- slab guards abort in every build -----------------------------------------
 //
 // Each guarded state would let the arena or the table hand one slot to two
-// flows, so the guards are PASE_CHECKs, not debug-only DCHECKs.
-
-TEST(EndpointArenaDeathTest, AcquireBeforeInitAborts) {
-  EXPECT_DEATH(
-      {
-        proto::EndpointArena arena;
-        arena.acquire();
-      },
-      "initialized\\(\\)");
-}
+// flows, or overrun a slot, so the guards are PASE_CHECKs, not debug-only
+// DCHECKs.
 
 TEST(EndpointArenaDeathTest, ReleaseWithNoLiveSlotAborts) {
   EXPECT_DEATH(
       {
         proto::EndpointArena arena;
-        arena.init(64, 8);
-        void* p = arena.acquire();
+        Blob48* p = arena.emplace<Blob48>();
         arena.release(p);
         arena.release(p);
       },
       "live_ > 0");
+}
+
+// The first type fixes the slot geometry; a later, larger or more strictly
+// aligned type would overrun its slot.
+TEST(EndpointArenaDeathTest, EmplaceOfALargerTypeAborts) {
+  EXPECT_DEATH(
+      {
+        proto::EndpointArena arena;
+        arena.emplace<Blob48>();
+        arena.emplace<Blob64>();
+      },
+      "sizeof\\(T\\) <= slot_size_");
+  EXPECT_DEATH(
+      {
+        proto::EndpointArena arena;
+        arena.emplace<Blob48>();
+        arena.emplace<Blob32>();
+      },
+      "alignof\\(T\\) <= align_");
 }
 
 TEST(EndpointTableDeathTest, DoubleReleaseAborts) {

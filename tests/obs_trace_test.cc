@@ -64,12 +64,12 @@ TEST(TraceCategories, ParseAndFormatRoundTrip) {
   EXPECT_EQ(parse_categories("all"), kAllCategories);
   EXPECT_EQ(parse_categories("flow"), kFlowCat);
   EXPECT_EQ(parse_categories("flow,packet"), kFlowCat | kPacketCat);
-  EXPECT_EQ(parse_categories("queue,engine"), kQueueCat | kEngineCat);
+  EXPECT_EQ(parse_categories("arb,engine"), kArbCat | kEngineCat);
   EXPECT_EQ(parse_categories("nonsense"), 0u);
   const std::uint32_t mask = kFlowCat | kArbCat | kEngineCat;
   EXPECT_EQ(parse_categories(categories_string(mask)), mask);
   EXPECT_EQ(categories_string(kAllCategories),
-            "flow,packet,arb,endpoint,queue,engine");
+            "flow,packet,arb,endpoint,engine");
 }
 
 TEST(TraceCategories, EveryTypeMapsIntoTheMask) {

@@ -67,9 +67,9 @@ TEST(ProfileRegistry, DuplicateRegistrationThrows) {
         const proto::ProfileParams&) const override {
       return nullptr;
     }
-    std::unique_ptr<transport::Sender> make_sender(
-        proto::RunContext&, const transport::Flow&,
-        net::Host&) const override {
+    transport::Sender* make_sender(proto::EndpointArena&,
+                                   proto::RunContext&, const transport::Flow&,
+                                   net::Host&) const override {
       return nullptr;
     }
   };
@@ -201,27 +201,35 @@ class TcpDroptailProfile final : public TransportProfile {
     };
   }
 
-  std::unique_ptr<transport::Sender> make_sender(
-      proto::RunContext& ctx, const transport::Flow& flow,
-      net::Host& src) const override {
+  transport::Sender* make_sender(proto::EndpointArena& arena,
+                                 proto::RunContext& ctx,
+                                 const transport::Flow& flow,
+                                 net::Host& src) const override {
     transport::WindowSenderOptions w;
     w.initial_rtt = ctx.base_rtt;
-    return std::make_unique<transport::WindowSender>(ctx.sim, src, flow, w);
+    return arena.emplace<transport::WindowSender>(ctx.sim, src, flow, w);
   }
 };
 
-TEST(SeventhProfile, RunsThroughUnmodifiedHarness) {
+void register_tcp_droptail() {
   if (proto::profile_for("tcp-droptail") == nullptr) {
     ProfileRegistry::instance().add(std::make_unique<TcpDroptailProfile>());
   }
+}
 
+ScenarioConfig seventh_profile_config() {
+  register_tcp_droptail();
   ScenarioConfig cfg;
   cfg.profile_name = "tcp-droptail";  // enum field is ignored when set
   cfg.topology = ScenarioConfig::TopologyKind::kSingleRack;
   cfg.traffic.load = 0.5;
   cfg.traffic.num_flows = 40;
   cfg.traffic.seed = 5;
+  return cfg;
+}
 
+TEST(SeventhProfile, RunsThroughUnmodifiedHarness) {
+  const ScenarioConfig cfg = seventh_profile_config();
   EXPECT_NO_THROW(workload::validate_config(cfg));
   const workload::ScenarioResult res = workload::run_scenario(cfg);
   EXPECT_EQ(res.unfinished(), 0u);
@@ -229,6 +237,8 @@ TEST(SeventhProfile, RunsThroughUnmodifiedHarness) {
   EXPECT_GT(res.afct(), 0.0);
   // No control plane: the counters stay zero.
   EXPECT_EQ(res.control.messages_sent, 0u);
+  // Its endpoints live in the slab arenas, like the built-ins'.
+  EXPECT_GT(res.slab_grow_events, 0u);
 
   // Determinism holds for registered extras too.
   const workload::ScenarioResult again = workload::run_scenario(cfg);
@@ -236,10 +246,32 @@ TEST(SeventhProfile, RunsThroughUnmodifiedHarness) {
   EXPECT_EQ(res.data_packets_sent, again.data_packets_sent);
 }
 
-TEST(SeventhProfile, ListedInRegistryEnumeration) {
-  if (proto::profile_for("tcp-droptail") == nullptr) {
-    ProfileRegistry::instance().add(std::make_unique<TcpDroptailProfile>());
+// A registered extra recycles its slots through the same arenas, and
+// recycling stays invisible to the event path.
+TEST(SeventhProfile, RecycleOnReproducesRecycleOff) {
+  ScenarioConfig on = seventh_profile_config();
+  on.rack.num_hosts = 16;
+  on.traffic.num_flows = 600;
+  on.recycle_endpoints = true;
+  ScenarioConfig off = on;
+  off.recycle_endpoints = false;
+  const workload::ScenarioResult ron = workload::run_scenario(on);
+  const workload::ScenarioResult roff = workload::run_scenario(off);
+  EXPECT_LT(ron.peak_live_flows, roff.peak_live_flows);
+  EXPECT_EQ(ron.data_packets_sent, roff.data_packets_sent);
+  EXPECT_EQ(ron.fabric_drops, roff.fabric_drops);
+  EXPECT_EQ(ron.end_time, roff.end_time);
+  ASSERT_EQ(ron.records.size(), roff.records.size());
+  for (std::size_t i = 0; i < ron.records.size(); ++i) {
+    EXPECT_EQ(ron.records[i].id, roff.records[i].id) << i;
+    EXPECT_EQ(ron.records[i].start, roff.records[i].start) << i;
+    EXPECT_EQ(ron.records[i].finish, roff.records[i].finish) << i;
+    EXPECT_EQ(ron.records[i].terminated, roff.records[i].terminated) << i;
   }
+}
+
+TEST(SeventhProfile, ListedInRegistryEnumeration) {
+  register_tcp_droptail();
   bool found = false;
   for (const TransportProfile* p : ProfileRegistry::instance().profiles()) {
     if (p->name() == "tcp-droptail") {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -343,6 +345,19 @@ TEST(TelemetryDeterminism, JsonlByteIdenticalAcrossWorkerCounts) {
           << workload::protocol_name(p) << " workers=" << w
           << " (workers_used=" << rw.workers_used << ")";
     }
+  }
+}
+
+// A period that is zero, negative or NaN never moves the sample grid past
+// the chunk end, so the run loop would spin; the config is refused instead.
+TEST(TelemetryConfig, RejectsPeriodThatNeverAdvances) {
+  for (const double period : {0.0, -1e-3, std::nan("")}) {
+    auto cfg = telemetry_scenario(workload::Protocol::kDctcp);
+    cfg.telemetry.sample_period = period;
+    EXPECT_THROW(workload::validate_config(cfg), std::invalid_argument)
+        << period;
+    EXPECT_THROW(workload::run_scenario(cfg), std::invalid_argument)
+        << period;
   }
 }
 

@@ -57,7 +57,7 @@ TELEMETRY_RECORD_FIELDS = {
     "hot_flow": {"rank", "flow", "bytes", "error"},
 }
 
-KNOWN_CATEGORIES = {"flow", "packet", "arb", "endpoint", "queue", "engine"}
+KNOWN_CATEGORIES = {"flow", "packet", "arb", "endpoint", "engine"}
 
 # type -> required fields beyond {"t", "type"}; extra fields are an error so
 # the schema stays deliberate.
@@ -72,7 +72,6 @@ EVENT_FIELDS = {
     "ep.cwnd": {"flow", "cwnd", "srtt"},
     "ep.alpha": {"flow", "alpha", "frac"},
     "ep.rate": {"flow", "rate", "paused"},
-    "queue.sample": {"queue", "occupancy", "drops", "marks"},
     "engine.sample": {"domain", "events", "heap_closures"},
     "engine.round": {"rounds", "posts", "horizon", "drains"},
 }
