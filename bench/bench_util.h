@@ -2,6 +2,7 @@
 // scenarios (§4.1), the parallel sweep-grid driver, and table printing.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -132,7 +133,9 @@ inline bool write_trace_file(const ScenarioResult& r, const std::string& path) {
 // Telemetry request parsed from a bench's argv:
 //   --telemetry=<path>          enable the telemetry plane, write the
 //                               "pase-telemetry" JSONL summary there
-//   --telemetry-period=<sec>    sample grid period (default 1 ms)
+//   --telemetry-period=<sec>    sample grid period (default 1 ms); the
+//                               whole value must be a finite number > 0,
+//                               or the bench exits before any cell runs
 // Like tracing, telemetry applies to the grid's first cell.
 struct TelemetryOptions {
   std::string path;  // empty = telemetry off
@@ -149,8 +152,17 @@ inline TelemetryOptions telemetry_from_cli(int argc, char** argv) {
     } else if (std::strcmp(a, "--telemetry") == 0 && i + 1 < argc) {
       t.path = argv[++i];
     } else if (std::strncmp(a, "--telemetry-period=", 19) == 0) {
-      const double p = std::atof(a + 19);
-      if (p > 0) t.period = p;
+      const char* v = a + 19;
+      char* end = nullptr;
+      const double p = std::strtod(v, &end);
+      if (end == v || *end != '\0' || !std::isfinite(p) || !(p > 0.0)) {
+        std::fprintf(stderr,
+                     "error: --telemetry-period takes a finite number of "
+                     "seconds > 0, got '%s'\n",
+                     v);
+        std::exit(1);
+      }
+      t.period = p;
     }
   }
   return t;

@@ -397,8 +397,10 @@ struct CountingNode : net::Node {
   void receive(net::PacketPtr) override { ++received; }
 };
 
-// One item = one packet hop = two raw events (tx-done, then delivery) plus
-// the queue discipline's enqueue/dequeue. Reported time is ns per hop.
+// One item = one packet hop plus the queue discipline's enqueue/dequeue.
+// The n packets form one burst, which costs n deliveries plus n - 1
+// tx-dones (a tx-done runs only while a packet waits), so this is the
+// busy-link cost. Reported time is ns per hop.
 void BM_LinkHop(benchmark::State& state) {
   const int n = 1000;
   for (auto _ : state) {

@@ -1,7 +1,8 @@
 // Queue discipline interface.
 //
-// A Queue feeds exactly one Link. The link pulls the next packet when it goes
-// idle; the queue pushes when a packet arrives while the link is idle.
+// A Queue feeds exactly one Link. The queue pushes when a packet arrives
+// while the link is idle; a packet that has to wait arms the link's tx-done,
+// which pulls the next packet when the serialization ends.
 // Concrete disciplines implement do_enqueue (may drop/mark) and do_dequeue
 // (chooses what to send next).
 #pragma once
@@ -24,11 +25,13 @@ class Queue {
   Link* link() const { return link_; }
 
   // Entry point from the upstream node. May drop the packet (discipline
-  // decision); kicks the link if it is idle. Defined inline in link.h (it
-  // needs the Link definition), which every call site already includes.
+  // decision); transmits it at once if the link is idle, else arms the
+  // link's tx-done. Defined inline in link.h (it needs the Link
+  // definition), which every call site already includes.
   void enqueue(PacketPtr p);
 
-  // Called by the link when it finishes serializing a packet.
+  // Called by the link's tx-done, which runs only while a packet waits:
+  // transmits the next packet, and re-arms the tx-done if more wait.
   void on_link_idle();
 
   virtual std::size_t len_packets() const = 0;
@@ -85,8 +88,6 @@ class Queue {
   }
 
  private:
-  void try_send();
-
   Link* link_ = nullptr;
   std::uint64_t drops_ = 0;
   std::uint64_t marks_ = 0;

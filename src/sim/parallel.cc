@@ -110,7 +110,7 @@ void ParallelEngine::drain_inbox(int d) {
       // would already be an ordering hazard — this domain may have executed
       // same-instant events that sort after the record.
       PASE_CHECK(r.t > sd.now() && "cross delivery behind the horizon");
-      sd.schedule_injected(r.t, r.key, r.tag, r.fn, r.ctx, r.arg);
+      sd.schedule_with_key(r.t, r.key, r.tag, r.fn, r.ctx, r.arg);
     }
     box.clear();
   }

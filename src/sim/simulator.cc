@@ -54,7 +54,7 @@ void Simulator::grow_node_keys(std::uint32_t tag) {
 
 Simulator::~Simulator() {
   // Pending events may own memory: heap closures their object, raw events
-  // whatever their fn's registered disposer frees (a link hop's packet).
+  // whatever their fn's registered disposer frees (a link delivery's packet).
   // Fired and cancelled slots carry key 0 and were already downgraded to
   // kRaw, so they release nothing.
   for (std::uint32_t i = 0; i < num_slots_; ++i) {

@@ -186,8 +186,10 @@ class Simulator {
   // and executes them in barrier-synchronized windows (see sim/parallel.h).
   // Cross-domain posts and completion reports carry order keys.
 
-  // The executing event's order key (0 in the setup context).
+  // The executing event's order key and the tag of the node it executes at
+  // (both 0 in the setup context).
   std::uint64_t current_key() const { return cur_key_; }
+  std::uint32_t current_tag() const { return cur_tag_; }
   // Draws the key of an event the executing event schedules for time `t`:
   // one step of its node's counter. Every scheduling call draws one; a
   // partitioned run's cross-domain post draws it in the source domain,
@@ -205,9 +207,12 @@ class Simulator {
     if (node >= kTagLimit - 1) [[unlikely]] key_overflow();
     return node + 1;
   }
-  // Injects a cross-domain event with the key drawn in its source domain and
-  // the tag of the node it executes at.
-  EventId schedule_injected(Time t, std::uint64_t key, std::uint32_t tag,
+  // Schedules an event whose key was drawn earlier (next_key), executing at
+  // the node with tag `tag`: a cross-domain delivery, keyed in its source
+  // domain, or a link's tx-done, keyed when its serialization began. The
+  // caller keeps the child-after-parent rule: (t, key) must sort after the
+  // executing event.
+  EventId schedule_with_key(Time t, std::uint64_t key, std::uint32_t tag,
                             RawFn fn, void* ctx, void* arg = nullptr) {
     PASE_DCHECK(tag < kTagLimit);
     return schedule_keyed(t, key, tag, fn, ctx, arg);

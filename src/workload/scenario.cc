@@ -176,6 +176,15 @@ std::unique_ptr<topo::TopologyBuilder> topology_builder(
   throw std::invalid_argument("invalid scenario config: " + what);
 }
 
+// A link delay schedules every delivery that far ahead: a negative one runs
+// the clock backwards and a NaN one never fires. Zero is a legal delay.
+void check_link_delay(const char* field, sim::Time delay) {
+  if (!(std::isfinite(delay) && delay >= 0.0)) {
+    bad_config(std::string(field) + " must be finite and non-negative, got " +
+               std::to_string(delay));
+  }
+}
+
 // Generic (profile-independent) sanity checks.
 void validate_generic(const ScenarioConfig& cfg) {
   if (!(cfg.max_duration > 0.0)) {
@@ -183,6 +192,7 @@ void validate_generic(const ScenarioConfig& cfg) {
                std::to_string(cfg.max_duration));
   }
   if (cfg.topology == ScenarioConfig::TopologyKind::kSingleRack) {
+    check_link_delay("rack.per_link_delay", cfg.rack.per_link_delay);
     if (cfg.rack.num_hosts < 2) {
       bad_config("single-rack topology needs at least 2 hosts, got " +
                  std::to_string(cfg.rack.num_hosts));
@@ -192,6 +202,7 @@ void validate_generic(const ScenarioConfig& cfg) {
     }
   } else if (cfg.topology == ScenarioConfig::TopologyKind::kFatTree) {
     const topo::FatTreeConfig& ft = cfg.fattree;
+    check_link_delay("fattree.per_link_delay", ft.per_link_delay);
     if (ft.k < 2 || ft.k % 2 != 0) {
       bad_config("fat-tree radix k must be even and at least 2, got " +
                  std::to_string(ft.k));
@@ -211,6 +222,7 @@ void validate_generic(const ScenarioConfig& cfg) {
       bad_config("fat-tree link rates must be positive");
     }
   } else {
+    check_link_delay("tree.per_link_delay", cfg.tree.per_link_delay);
     if (cfg.tree.num_tors < 1 || cfg.tree.hosts_per_tor < 1 ||
         cfg.tree.tors_per_agg < 1) {
       bad_config("three-tier dimensions must all be at least 1");
@@ -550,8 +562,9 @@ Run::Run(const ScenarioConfig& cfg, const proto::TransportProfile& profile,
   }
 
   // Pre-size each domain from its in-flight population: a few events per
-  // host (tx-done, delivery, timers, control) plus a fixed allowance for
-  // control-plane timers and the launch chains, shared by the domains.
+  // host (deliveries, the tx-done of a link with a packet waiting, timers,
+  // control) plus a fixed allowance for control-plane timers and the launch
+  // chains, shared by the domains.
   // Steady-state scheduling then never grows a slot chunk or rebuilds the
   // calendar mid-burst. Any worker may run any domain, so each worker's
   // packet pool is prewarmed with its share of the hosts.

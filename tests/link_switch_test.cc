@@ -86,12 +86,14 @@ TEST_F(LinkFixture, BusyTimeAccumulates) {
   EXPECT_NEAR(link.busy_time(), 2 * 1500.0 * 8 / 1e9, 1e-12);
 }
 
-// A run can stop with a hop pending; the packet that hop carries must go
-// back to the thread's pool when the simulator is destroyed, whether its
-// tx-done (serializing) or its delivery (propagating) is the pending event.
-// The network objects die first, as a scenario's topology does.
+// A run can stop with a hop pending; the packet it carries must go back to
+// the thread's pool when the simulator is destroyed. A lone packet leaves
+// one pending event, its delivery, which holds the packet. A packet that
+// waits behind it adds a tx-done, which holds none (the waiting packet is
+// the queue's), so teardown must not hand the pool a null. The network
+// objects die first, as a scenario's topology does.
 TEST(LinkTeardown, PendingHopReturnsPacketToPool) {
-  for (const bool serialized : {false, true}) {
+  for (const bool waiting : {false, true}) {
     PacketPool& pool = PacketPool::local();
     auto sim = std::make_unique<sim::Simulator>();
     {
@@ -100,17 +102,163 @@ TEST(LinkTeardown, PendingHopReturnsPacketToPool) {
       Link link{*sim, 1e9, 10e-6};
       link.connect(&queue, &sink);
       queue.enqueue(make_data_packet(1, 0, 99, 0));
-      if (serialized) {
-        ASSERT_TRUE(sim->step());  // tx-done fired and scheduled the delivery
-      }
-      ASSERT_EQ(sim->pending_events(), 1u);
+      if (waiting) queue.enqueue(make_data_packet(1, 0, 99, 1));
+      ASSERT_EQ(sim->pending_events(), waiting ? 2u : 1u);
+      ASSERT_EQ(queue.len_packets(), waiting ? 1u : 0u);
       ASSERT_TRUE(sink.packets.empty());
     }
     const std::size_t held = pool.available();
     sim.reset();
     EXPECT_EQ(pool.available(), held + 1)
-        << (serialized ? "delivery pending" : "tx-done pending");
+        << (waiting ? "delivery and tx-done pending" : "delivery pending");
   }
+}
+
+// --- One event per idle hop --------------------------------------------------
+
+// Records each arrival's simulated time.
+class ClockedSink : public Node {
+ public:
+  explicit ClockedSink(const sim::Simulator& sim)
+      : Node(99, "sink"), sim_(sim) {}
+  void receive(PacketPtr p) override {
+    packets.push_back(std::move(p));
+    arrival_times.push_back(sim_.now());
+  }
+  std::vector<PacketPtr> packets;
+  std::vector<double> arrival_times;
+
+ private:
+  const sim::Simulator& sim_;
+};
+
+struct LinkHop : ::testing::Test {
+  static constexpr double kRate = 1e9;
+  static constexpr double kDelay = 10e-6;
+  sim::Simulator sim;
+  ClockedSink sink{sim};
+  DropTailQueue queue{100};
+  Link link{sim, kRate, kDelay, "hop"};
+  const double tx = link.serialization_delay(1500);
+
+  void SetUp() override { link.connect(&queue, &sink); }
+  void send(std::uint32_t seq) {
+    queue.enqueue(make_data_packet(1, 0, 99, seq));
+  }
+};
+
+TEST_F(LinkHop, IdleHopIsOneEvent) {
+  const double t0 = 3.3e-6;
+  sim.schedule_at(t0, [this] { send(0); });
+  sim.run();
+  // The enqueueing event, then the delivery: no tx-done.
+  EXPECT_EQ(sim.executed_events(), 2u);
+  ASSERT_EQ(sink.arrival_times.size(), 1u);
+  EXPECT_EQ(sink.arrival_times[0], (t0 + tx) + kDelay);
+  EXPECT_TRUE(link.idle());
+}
+
+TEST_F(LinkHop, BurstCostsDeliveriesPlusWaitingTxDones) {
+  const int n = 5;
+  for (int k = 0; k < n; ++k) send(static_cast<std::uint32_t>(k));
+  EXPECT_EQ(queue.len_packets(), static_cast<std::size_t>(n - 1));
+  sim.run();
+  // n deliveries, plus one tx-done per packet that waited.
+  EXPECT_EQ(sim.executed_events(), static_cast<std::uint64_t>(2 * n - 1));
+  ASSERT_EQ(sink.arrival_times.size(), static_cast<std::size_t>(n));
+  double start = 0.0;
+  for (int k = 0; k < n; ++k) {
+    const double end = start + tx;
+    EXPECT_EQ(sink.arrival_times[static_cast<std::size_t>(k)], end + kDelay)
+        << "delivery " << k;
+    EXPECT_EQ(sink.packets[static_cast<std::size_t>(k)]->seq,
+              static_cast<std::uint32_t>(k));
+    start = end;
+  }
+}
+
+// At the instant a serialization ends, an arrival whose event orders before
+// the reserved tx-done key finds the link busy and waits for the tx-done; one
+// ordering after it finds the link idle and transmits at once. Either way
+// the packet leaves at the end instant.
+TEST_F(LinkHop, ArrivalAtSerializationEndQueuesIffItOrdersFirst) {
+  const double end = 0.0 + tx;
+  bool was_idle = true;
+  std::size_t waiting = 0;
+  // Scheduled before the transmit below draws the reserved key.
+  sim.schedule_at(end, [&] {
+    was_idle = link.idle();
+    send(1);
+    waiting = queue.len_packets();
+  });
+  send(0);
+  sim.run();
+  EXPECT_FALSE(was_idle);
+  EXPECT_EQ(waiting, 1u);
+  // The arrival, the tx-done that hands the link on, two deliveries.
+  EXPECT_EQ(sim.executed_events(), 4u);
+  ASSERT_EQ(sink.arrival_times.size(), 2u);
+  EXPECT_EQ(sink.arrival_times[1], (end + tx) + kDelay);
+}
+
+TEST_F(LinkHop, ArrivalAfterReservedKeyTransmitsAtOnce) {
+  const double end = 0.0 + tx;
+  bool was_idle = false;
+  std::size_t waiting = 1;
+  send(0);
+  // Scheduled after the transmit above drew the reserved key.
+  sim.schedule_at(end, [&] {
+    was_idle = link.idle();
+    send(1);
+    waiting = queue.len_packets();
+  });
+  sim.run();
+  EXPECT_TRUE(was_idle);
+  EXPECT_EQ(waiting, 0u);
+  // The arrival and two deliveries.
+  EXPECT_EQ(sim.executed_events(), 3u);
+  ASSERT_EQ(sink.arrival_times.size(), 2u);
+  EXPECT_EQ(sink.arrival_times[1], (end + tx) + kDelay);
+}
+
+// Outside any event at the end instant, every event there has run but a
+// pending tx-done: with none armed the link is idle and an enqueue
+// transmits at once; with one armed the arrival waits behind it.
+TEST_F(LinkHop, SetupContextAtSerializationEnd) {
+  const double end = 0.0 + tx;
+  send(0);
+  sim.run(end);  // nothing due by then; the clock stops at the end instant
+  ASSERT_EQ(sim.now(), end);
+  EXPECT_TRUE(link.idle());
+  send(1);
+  EXPECT_EQ(queue.len_packets(), 0u);
+  EXPECT_EQ(sim.pending_events(), 2u);  // two deliveries, no tx-done
+  sim.run();
+  EXPECT_EQ(sink.arrival_times.size(), 2u);
+}
+
+TEST_F(LinkHop, SetupContextWaitsBehindArmedTxDone) {
+  const double end = 0.0 + tx;
+  sim.schedule_at(end, [] {});  // orders before the reserved key
+  send(0);
+  send(1);  // waits, arming the tx-done at the end instant
+  ASSERT_TRUE(sim.step());  // the empty event; the tx-done is still due
+  ASSERT_EQ(sim.now(), end);
+  EXPECT_FALSE(link.idle());
+  send(2);
+  EXPECT_EQ(queue.len_packets(), 2u);
+  sim.run();
+  ASSERT_EQ(sink.packets.size(), 3u);
+  for (std::uint32_t k = 0; k < 3; ++k) EXPECT_EQ(sink.packets[k]->seq, k);
+  EXPECT_EQ(sink.arrival_times[2], ((end + tx) + tx) + kDelay);
+}
+
+TEST_F(LinkHop, UnlinkedQueueBuffers) {
+  DropTailQueue unlinked{4};
+  unlinked.enqueue(make_data_packet(1, 0, 99, 0));
+  unlinked.enqueue(make_data_packet(1, 0, 99, 1));
+  EXPECT_EQ(unlinked.len_packets(), 2u);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 // --- Switch -------------------------------------------------------------------

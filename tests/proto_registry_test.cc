@@ -133,6 +133,38 @@ TEST(ValidateConfig, RejectsNonsenseScenario) {
   }
 }
 
+// A link delay schedules every delivery that far ahead, so each fabric kind
+// rejects a negative or non-finite one (the clock would run backwards, or
+// the deliveries never fire); zero stays legal.
+TEST(ValidateConfig, RejectsNegativeOrNonFiniteLinkDelay) {
+  using Kind = ScenarioConfig::TopologyKind;
+  const auto delay_of = [](ScenarioConfig& cfg) -> double& {
+    if (cfg.topology == Kind::kSingleRack) return cfg.rack.per_link_delay;
+    if (cfg.topology == Kind::kFatTree) return cfg.fattree.per_link_delay;
+    return cfg.tree.per_link_delay;
+  };
+  for (const Kind kind :
+       {Kind::kSingleRack, Kind::kThreeTier, Kind::kFatTree}) {
+    for (const double d : {-1e-6, std::nan(""), HUGE_VAL}) {
+      ScenarioConfig cfg;
+      cfg.topology = kind;
+      delay_of(cfg) = d;
+      EXPECT_THROW(workload::validate_config(cfg), std::invalid_argument)
+          << "topology " << static_cast<int>(kind) << ", delay " << d;
+    }
+  }
+  ScenarioConfig cfg;
+  cfg.protocol = Protocol::kDctcp;
+  cfg.rack.num_hosts = 8;
+  cfg.rack.per_link_delay = 0.0;
+  cfg.traffic.load = 0.5;
+  cfg.traffic.num_flows = 40;
+  EXPECT_NO_THROW(workload::validate_config(cfg));
+  const workload::ScenarioResult res = workload::run_scenario(cfg);
+  EXPECT_EQ(res.unfinished(), 0u);
+  EXPECT_GT(res.afct(), 0.0);
+}
+
 // An explicit flow list names hosts by index; each malformed flow is
 // rejected before the run instead of crashing it or spinning to
 // max_duration.

@@ -116,7 +116,7 @@ def fattree_doc():
 
 
 def profile_metrics(k):
-    return {"profile.engine.dispatch.raw": 2_000_000,
+    return {"profile.engine.dispatch.raw": 1_400_000,
             "profile.engine.scan_mean": 1.5, "profile.engine.scan_max": 40,
             "profile.engine.peak_pending": 3000,
             "profile.switch.path_cache_hit_rate": 0.9937,
@@ -340,9 +340,9 @@ PROFILE_CASES = [
     ("fattree-profile: end_time_s equal to the plain run",
      lambda d, v: ft(d, 4, 1).__setitem__("end_time_s", v),
      0.25, up(0.25)),
-    ("fattree-profile: k=16 dispatches per packet <= 24.6",
+    ("fattree-profile: k=16 dispatches per packet <= 15.0",
      lambda d, v: set_metric(ft(d, 16, 1), "profile.engine.dispatch.raw", v),
-     2_460_000, 2_460_001),
+     1_500_000, 1_500_001),
     ("fattree-profile: k=16 path-cache hit rate >= 0.98",
      lambda d, v: set_metric(ft(d, 16, 1), "profile.switch.path_cache_hit_rate",
                              v), 0.98, down(0.98)),
