@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "core/arbitration_algorithm.h"
 #include "exp/sweep.h"
@@ -38,6 +39,59 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
+
+// Hold model shaped like a packet hop: state.range(0) events stay pending;
+// each pop schedules one event U[1, 3] us ahead, and 1 in 16 pops cancels a
+// pending event and reschedules it (the retransmission-timer pattern).
+// BM_EventQueueScheduleRun bursts into an empty queue, which the staging
+// path serves; this one keeps the calendar's steady state busy: days
+// detached into the sorted run, events landing in later buckets, cancels.
+// Delays come from a precomputed table so the engine dominates. Reported
+// time is ns per popped event.
+struct HoldModel {
+  sim::Simulator s;
+  std::vector<double> delays;       // U[1, 3] us, cycled
+  std::vector<sim::EventId> ids;    // handle of each of the last n schedules
+  std::size_t next_delay = 0;
+  std::uint64_t pops = 0;
+
+  explicit HoldModel(int pending) : ids(static_cast<std::size_t>(pending)) {
+    sim::Rng rng(11);
+    delays.resize(4096);
+    for (double& d : delays) d = rng.uniform(1e-6, 3e-6);
+    s.reserve(static_cast<std::size_t>(pending));
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      ids[i] = s.schedule_raw(rng.uniform(0.0, 3e-6), &hop, this);
+    }
+  }
+
+  double delay() {
+    next_delay = (next_delay + 1) & (delays.size() - 1);
+    return delays[next_delay];
+  }
+
+  static void hop(void* ctx, void*) {
+    auto* m = static_cast<HoldModel*>(ctx);
+    const std::size_t n = m->ids.size();
+    const std::uint64_t i = m->pops++;
+    m->ids[i % n] = m->s.schedule_raw(m->delay(), &hop, m);
+    if (i % 16 == 0) {
+      // The handle scheduled n/2 pops ago is usually still pending.
+      sim::EventId& old = m->ids[(i + n / 2) % n];
+      if (m->s.cancel(old)) old = m->s.schedule_raw(m->delay(), &hop, m);
+    }
+  }
+};
+
+void BM_EventQueueHold(benchmark::State& state) {
+  HoldModel m(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m.s.step());
+  }
+  benchmark::DoNotOptimize(m.pops);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHold)->Arg(400)->Arg(10000);
 
 void BM_TimerRestartChurn(benchmark::State& state) {
   for (auto _ : state) {

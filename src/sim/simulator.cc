@@ -9,13 +9,24 @@
 
 namespace pase::sim {
 
+namespace {
+
+// Day width in observed inter-fire gaps. Narrower days mean more detaches
+// (and more empty buckets walked); wider ones longer sorts and more events
+// inserted into the run; EXPERIMENTS.md ("One sorted day") has the counts
+// behind the choice.
+constexpr double kDayGaps = 2.0;
+
+// Detached days up to this size are insertion-sorted (a day holds a few
+// events); larger ones, such as a pile-up at one instant, go to std::sort.
+constexpr std::size_t kInsertionSortMax = 32;
+
+}  // namespace
+
 double Simulator::preferred_width(Time lo, Time hi, std::size_t n) const {
   if (executed_ > 64 && fire_gap_ewma_ > 0.0 &&
       std::isfinite(fire_gap_ewma_)) {
-    // A few events per day keeps day scans short while the top cache still
-    // amortizes one walk over several pops (the multiplier is empirical:
-    // wider days make buckets — and every scan — proportionally longer).
-    return fire_gap_ewma_ * 4.0;
+    return fire_gap_ewma_ * kDayGaps;
   }
   if (n > 1 && hi > lo) return (hi - lo) * 2.0 / static_cast<double>(n);
   return width_;  // degenerate: keep the current width
@@ -70,51 +81,56 @@ Simulator::~Simulator() {
 
 
 
-void Simulator::unlink(std::uint32_t slot_index, const Slot& s) {
+void Simulator::unlink(Slot& s) {
+  --calendar_count_;
   const std::uint64_t day = day_of(s.t);
-  if (s.prev != kNil) {
-    slot_at(s.prev).next = s.next;
-  } else {
-    std::uint32_t& head =
-        day == kInfDay ? inf_list_ : bucket_heads_[day & bucket_mask_];
-    PASE_DCHECK(head == slot_index && "pending event missing from its bucket");
-    head = s.next;
+  if (day < next_day_) {
+    // In the run: find it by (t, key), unique among pending events.
+    const auto it =
+        std::lower_bound(run_.begin(), run_.end(), entry_of(s), entry_after);
+    PASE_DCHECK(it != run_.end() && it->slot == &s &&
+                "pending event missing from the run");
+    run_.erase(it);
+    return;
   }
-  if (s.next != kNil) slot_at(s.next).prev = s.prev;
+  std::uint32_t* link = &bucket_heads_[day & bucket_mask_];
   if (day == kInfDay) {
+    link = &inf_list_;
     --inf_count_;
-  } else {
-    --finite_entries_;
   }
-  if (top_count_ > 0) {
-    if (top_cache_[0].slot == slot_index) {
-      // Popping the cached top (the common case): promote the rest of the
-      // prefix. The new head is by construction the minimum of the remaining
-      // pending set, and every other event is at or past its day, so the
-      // calendar cursor may jump forward to it.
-      --top_count_;
-      for (std::uint32_t i = 0; i < top_count_; ++i) {
-        top_cache_[i] = top_cache_[i + 1];
-      }
-      if (top_count_ > 0) {
-        const std::uint64_t d = day_of(top_cache_[0].t);
-        if (d != kInfDay && d > cur_day_) cur_day_ = d;
-      } else {
-        // Cache exhausted; restart the next walk from the clock's day.
-        cur_day_ = day_of(now_);
-      }
-    } else {
-      // Cancellation of a non-top event: drop it from the prefix if cached.
-      for (std::uint32_t i = 1; i < top_count_; ++i) {
-        if (top_cache_[i].slot == slot_index) {
-          --top_count_;
-          for (std::uint32_t j = i; j < top_count_; ++j) {
-            top_cache_[j] = top_cache_[j + 1];
-          }
-          break;
-        }
-      }
+  while (*link != s.index) {
+    PASE_DCHECK(*link != kNil && "pending event missing from its bucket");
+    link = &slot_at(*link).next;
+  }
+  *link = s.next;
+}
+
+void Simulator::run_insert(Slot& s, std::uint64_t day) {
+  if (day + 1 < next_day_) {
+    // The run holds one day, next_day_ - 1, and the newcomer precedes it:
+    // the locator detached ahead of the clock (next_event_time, or a
+    // window or run() that ended before that day). Rather than insert
+    // every event up to that day into the run, hand the run back to its
+    // bucket, newest on top as it came, and restart the locator at the
+    // clock.
+    for (auto it = run_.rbegin(); it != run_.rend(); ++it) {
+      push_bucket(*it->slot, next_day_ - 1);
     }
+    run_.clear();
+    next_day_ = day_of(now_);
+    push_bucket(s, day);
+    return;
+  }
+  // Only the entries that fire before the newcomer move; a zero-delay child
+  // usually lands among the last few.
+  const RunEntry e = entry_of(s);
+  const auto it = std::upper_bound(run_.begin(), run_.end(), e, entry_after);
+  const auto moves = static_cast<std::uint64_t>(run_.end() - it);
+  if (run_.size() == run_.capacity()) ++run_reallocations_;
+  run_.insert(it, e);
+  if (profiling_) [[unlikely]] {
+    ++profile_run_inserts_;
+    profile_sort_moves_ += moves;
   }
 }
 
@@ -124,113 +140,165 @@ void Simulator::flush_staged() {
   const std::size_t incoming = staged_count_;
   staged_count_ = 0;
 
-  // If the calendar is empty, size it and derive the bucket width from the
-  // batch itself (its span/size were tracked at schedule time), so the batch
-  // is linked exactly once — no growth rebuilds mid-distribution.
-  if (finite_entries_ == 0 && inf_count_ == 0 && incoming > 0) {
+  // Events are staged only into an empty calendar: size it and derive the
+  // day width from the batch itself (its span/size were tracked at schedule
+  // time), so the batch is linked exactly once — no growth rebuilds
+  // mid-distribution.
+  PASE_DCHECK(calendar_count_ == 0);
+  if (incoming > 0) {
     set_width(preferred_width(staged_lo_, staged_hi_, staged_finite_));
     const std::size_t want = std::max(kMinBuckets, next_pow2(incoming * 2));
     if (want != bucket_heads_.size()) {
       bucket_heads_.assign(want, kNil);
       bucket_mask_ = want - 1;
     }
-    cur_day_ = day_of(now_);
-    top_count_ = 0;
   }
+  next_day_ = day_of(now_);
   staged_finite_ = 0;
   staged_lo_ = kTimeInfinity;
   staged_hi_ = -kTimeInfinity;
 
   while (chain != kNil) {
-    const std::uint32_t i = chain;
-    Slot& s = slot_at(i);
+    Slot& s = slot_at(chain);
     chain = s.next;
     if (s.key == 0) {
       // Cancelled while staged (payload already freed); reclaim the slot now
       // that it is unchained.
-      free_slots_.push_back(i);
+      free_slots_.push_back(s.index);
     } else {
-      link(i, s);
+      link(s);
     }
   }
   maybe_grow();
 }
 
-bool Simulator::locate_top() {
+std::size_t Simulator::detach_day(std::uint64_t day) {
+  std::uint32_t* link = &bucket_heads_[day & bucket_mask_];
+  std::size_t scanned = 0;
+  for (std::uint32_t i = *link; i != kNil;) {
+    Slot& s = slot_at(i);
+    const std::uint32_t nx = s.next;
+    // Bucket neighbours live on unrelated cache lines; overlap the next
+    // fetch with this entry's day check.
+    if (nx != kNil) __builtin_prefetch(&slot_at(nx));
+    ++scanned;
+    if (day_of(s.t) == day) {
+      *link = nx;
+      run_push(entry_of(s));
+    } else {
+      link = &s.next;  // a rotation or more ahead: stays in the bucket
+    }
+    i = nx;
+  }
+  return scanned;
+}
+
+void Simulator::sort_run() {
+  // A bucket is pushed at its head, so its chain runs newest first: a day
+  // whose events were scheduled in time order is detached already in the
+  // run's latest-first order, and costs the insertion sort no moves.
+  const std::size_t m = run_.size();
+  std::uint64_t moves = 0;
+  if (m <= kInsertionSortMax) {
+    RunEntry* const r = run_.data();
+    for (std::size_t i = 1; i < m; ++i) {
+      // The entry travels in registers, not as a stack copy that every
+      // comparison would reload.
+      const std::uint64_t when = r[i].when;
+      const std::uint64_t key = r[i].key;
+      Slot* const slot = r[i].slot;
+      const Order order = (Order{when} << 64) | key;
+      std::size_t j = i;
+      for (; j > 0 && order > order_of(r[j - 1]); --j) r[j] = r[j - 1];
+      r[j] = RunEntry{when, key, slot};
+      moves += i - j;
+    }
+  } else {
+    std::sort(run_.begin(), run_.end(),
+              [&moves](const RunEntry& a, const RunEntry& b) {
+                ++moves;
+                return entry_after(a, b);
+              });
+  }
+  if (profiling_) [[unlikely]] profile_sort_moves_ += moves;
+}
+
+bool Simulator::refill_run() {
+  // Fold the gaps between the events fired since the last refill into the
+  // fire-gap average, weighted as that many per-event updates would be
+  // (roughly), before anything re-derives the width from it. The first
+  // window, which starts at time 0 rather than at a fire, is skipped.
+  const std::uint64_t fired = executed_ - gap_mark_exec_;
+  if (fired > 0) {
+    if (gap_mark_exec_ > 0) {
+      const double n = static_cast<double>(fired);
+      fire_gap_ewma_ += ((now_ - gap_mark_t_) / n - fire_gap_ewma_) *
+                        std::min(1.0, 0.02 * n);
+    }
+    gap_mark_t_ = now_;
+    gap_mark_exec_ = executed_;
+  }
   if (staged_list_ != kNil) flush_staged();
-  if (top_count_ > 0) return true;
-  if (finite_entries_ > 0) {
-    const std::size_t nb = bucket_heads_.size();
+  PASE_DCHECK(run_.empty());
+  if (calendar_count_ == 0) return false;
+  if (calendar_count_ == inf_count_) {
+    // Only past-horizon events remain: they join the run, which from now
+    // on covers every day.
+    for (std::uint32_t i = inf_list_; i != kNil;) {
+      Slot& s = slot_at(i);
+      run_push(entry_of(s));
+      i = s.next;
+    }
+    inf_list_ = kNil;
+    inf_count_ = 0;
+    sort_run();
+    next_day_ = kAllDays;
+    return true;
+  }
+  const std::size_t nb = bucket_heads_.size();
+  for (;;) {
     for (std::size_t k = 0; k < nb; ++k) {
-      const std::uint64_t day = cur_day_ + k;
-      std::uint32_t i = bucket_heads_[day & bucket_mask_];
-      if (i == kNil) continue;
-      // Bucket lists are unsorted; scan for the day's (t, key)-smallest
-      // events — the day's m smallest are the globally m smallest, since
-      // every later day holds strictly later times — capturing up to
-      // kTopCacheSize of them, and skipping events a full rotation (or
-      // more) ahead.
-      std::size_t scanned = 0;
-      for (; i != kNil;) {
-        const Slot& s = slot_at(i);
-        const std::uint32_t nx = s.next;
-        // Bucket neighbours live on unrelated cache lines; overlap the next
-        // fetch with this entry's day check and cache insert.
-        if (nx != kNil) __builtin_prefetch(&slot_at(nx));
-        ++scanned;
-        if (day_of(s.t) == day) top_insert(s.t, s.key, i);
-        i = nx;
+      const std::uint64_t day = next_day_ + k;
+      if (bucket_heads_[day & bucket_mask_] == kNil) continue;
+      const std::size_t scanned = detach_day(day);
+      if (run_.empty()) continue;  // only later rotations in this bucket
+      // A grossly overfull bucket means the width no longer matches the
+      // event density (the workload's timescale changed); re-derive it.
+      // The cooldown keeps coincident-time pileups, which no width can
+      // spread, from triggering a rebuild per detach.
+      if (scanned > 64 &&
+          executed_ - last_rebuild_exec_ > calendar_count_ - inf_count_) {
+        rebuild(nb);
+        return refill_run();
       }
-      if (top_count_ > 0) {
-        // A grossly overfull bucket means the width no longer matches the
-        // event density (the workload's timescale changed); re-derive it.
-        // The cooldown keeps coincident-time pileups, which no width can
-        // spread, from triggering a rebuild per pop.
-        if (scanned > 64 &&
-            executed_ - last_rebuild_exec_ > finite_entries_) {
-          rebuild(bucket_heads_.size());
-          return locate_top();
-        }
-        if (profiling_) [[unlikely]] {
-          ++profile_walks_;
-          profile_scan_sum_ += scanned;
-          profile_scan_max_ =
-              std::max<std::uint64_t>(profile_scan_max_, scanned);
-        }
-        cur_day_ = day;
-        return true;
+      sort_run();
+      next_day_ = day + 1;
+      if (profiling_) [[unlikely]] {
+        ++profile_walks_;
+        profile_scan_sum_ += scanned;
+        profile_scan_max_ =
+            std::max<std::uint64_t>(profile_scan_max_, scanned);
       }
+      return true;
     }
     // Nothing within one full rotation: the calendar is too sparse for its
     // size. Shrink it (also re-deriving the width) while the occupancy
-    // invariant is off, then retry; once sized to the population, fall
-    // through to a direct search over every finite event (whose smallest
-    // prefix is global: infinite-time events sort after all of them).
-    const std::size_t want =
-        std::max(kMinBuckets, next_pow2(finite_entries_ * 2));
+    // invariant is off, then retry; once sized to the population, jump the
+    // locator straight to the earliest pending day.
+    const std::size_t finite = calendar_count_ - inf_count_;
+    const std::size_t want = std::max(kMinBuckets, next_pow2(finite * 2));
     if (want < nb) {
       rebuild(want);
-      return locate_top();
+      return refill_run();
     }
-    for (std::size_t b = 0; b < nb; ++b) {
-      for (std::uint32_t i = bucket_heads_[b]; i != kNil; i = slot_at(i).next) {
-        const Slot& s = slot_at(i);
-        top_insert(s.t, s.key, i);
+    std::uint64_t earliest = kInfDay;
+    for (const std::uint32_t head : bucket_heads_) {
+      for (std::uint32_t i = head; i != kNil; i = slot_at(i).next) {
+        earliest = std::min(earliest, day_of(slot_at(i).t));
       }
     }
-    PASE_DCHECK(top_count_ > 0);
-    cur_day_ = day_of(top_cache_[0].t);
-    return true;
+    next_day_ = earliest;
   }
-  if (inf_count_ > 0) {
-    // Only past-horizon events remain; their smallest prefix is global.
-    for (std::uint32_t i = inf_list_; i != kNil; i = slot_at(i).next) {
-      const Slot& s = slot_at(i);
-      top_insert(s.t, s.key, i);
-    }
-    return true;
-  }
-  return false;
 }
 
 void Simulator::rebuild(std::size_t new_num_buckets) {
@@ -239,41 +307,44 @@ void Simulator::rebuild(std::size_t new_num_buckets) {
   std::uint32_t chain = kNil;
   double lo = kTimeInfinity, hi = -kTimeInfinity;
   std::size_t finite_count = 0;
-  const auto gather = [&](std::uint32_t head) {
-    std::uint32_t i = head;
-    while (i != kNil) {
-      Slot& s = slot_at(i);
-      const std::uint32_t nx = s.next;
-      s.next = chain;
-      chain = i;
-      if (std::isfinite(s.t)) {
-        lo = std::min(lo, s.t);
-        hi = std::max(hi, s.t);
-        ++finite_count;
-      }
-      i = nx;
+  const auto gather = [&](Slot& s) {
+    s.next = chain;
+    chain = s.index;
+    if (std::isfinite(s.t)) {
+      lo = std::min(lo, s.t);
+      hi = std::max(hi, s.t);
+      ++finite_count;
     }
   };
-  for (const std::uint32_t head : bucket_heads_) gather(head);
-  gather(inf_list_);
+  for (const RunEntry& e : run_) gather(*e.slot);
+  const auto gather_list = [&](std::uint32_t i) {
+    while (i != kNil) {
+      Slot& s = slot_at(i);
+      i = s.next;
+      gather(s);
+    }
+  };
+  for (const std::uint32_t head : bucket_heads_) gather_list(head);
+  gather_list(inf_list_);
   inf_list_ = kNil;
   inf_count_ = 0;
+  run_.clear();
 
   bucket_heads_.assign(new_num_buckets, kNil);
   bucket_mask_ = new_num_buckets - 1;
 
   set_width(preferred_width(lo, hi, finite_count));
 
-  finite_entries_ = 0;
-  cur_day_ = day_of(now_);
-  top_count_ = 0;  // cleared before relinking: link() must not see stale entries
+  // Every pending event is at or after now_, so the whole set relinks into
+  // buckets and the next pop detaches afresh.
+  calendar_count_ = 0;
+  next_day_ = day_of(now_);
   last_rebuild_exec_ = executed_;
   ++calendar_rebuilds_;
   while (chain != kNil) {
-    const std::uint32_t i = chain;
-    Slot& s = slot_at(i);
+    Slot& s = slot_at(chain);
     chain = s.next;
-    link(i, s);
+    link(s);
   }
 }
 
@@ -282,6 +353,10 @@ void Simulator::reserve(std::size_t n) {
   while (slot_chunks_.size() * kSlotChunkSize < n) {
     slot_chunks_.push_back(std::make_unique<Slot[]>(kSlotChunkSize));
   }
+  if (n > run_.capacity()) {
+    ++run_reallocations_;
+    run_.reserve(n);
+  }
   if (n > bucket_heads_.size()) rebuild(next_pow2(n));
 }
 
@@ -289,10 +364,11 @@ bool Simulator::cancel(EventId id) {
   if (!id.valid() || id.slot_ >= num_slots_) return false;
   Slot& s = slot_at(id.slot_);
   if (s.gen != id.gen_) return false;  // already fired, cancelled, or reused
-  if (s.prev == kStaged) {
-    // Cheaply unlinking from the middle of the staging list isn't possible,
-    // so mark the node dead (key = 0) and leave it chained; the slot is
-    // retired — and removed — when the staging list is next flushed.
+  if (staged_list_ != kNil) {
+    // Only staged events are pending. Cheaply unlinking from the middle of
+    // the staging list isn't possible, so mark the node dead (key = 0) and
+    // leave it chained; the slot is retired — and removed — when the
+    // staging list is next flushed.
     --staged_count_;
     if (std::isfinite(s.t)) --staged_finite_;
     s.key = 0;
@@ -300,9 +376,9 @@ bool Simulator::cancel(EventId id) {
     bump_gen(s);
     return true;
   }
-  unlink(id.slot_, s);
+  unlink(s);
   destroy_payload(s);
-  retire_slot(id.slot_, s);
+  retire_slot(s);
   return true;
 }
 
@@ -313,20 +389,17 @@ bool Simulator::step(Time until) {
 }
 
 bool Simulator::dispatch(Time until) {
-  // Fast path: the top cache already knows the next event (~(K-1)/K of
-  // pops); fall into the full locator only on a cache miss or staged batch.
-  if (staged_list_ != kNil || top_count_ == 0) {
-    if (!locate_top()) return false;
-  }
-  if (top_cache_[0].t > until) return false;
-  const std::uint32_t slot = top_cache_[0].slot;
-  const Time t = top_cache_[0].t;
-  Slot& s = slot_at(slot);
-  // Unlink, copy the event out, and retire before invoking, so the callback
+  if (run_.empty() && !refill_run()) return false;
+  const RunEntry top = run_.back();
+  if (time_of(top) > until) return false;
+  run_.pop_back();
+  --calendar_count_;
+  Slot& s = *top.slot;
+  const Time t = s.t;
+  // Copy the event out and retire its slot before invoking, so the callback
   // may freely schedule (possibly reusing this very slot) or cancel. The
   // payload is 24 trivially-copyable bytes; heap-closure ownership transfers
   // to the invoker (which frees it), so the slot is downgraded to kRaw.
-  unlink(slot, s);
   const RawFn fn = s.fn;
   const Kind kind = s.kind;
   const std::uint64_t key = s.key;
@@ -335,10 +408,7 @@ bool Simulator::dispatch(Time until) {
   alignas(8) unsigned char payload[kInlinePayloadSize];
   std::memcpy(payload, s.payload, sizeof(payload));
   s.kind = Kind::kRaw;
-  retire_slot(slot, s);
-  if (executed_ > 0) {
-    fire_gap_ewma_ = fire_gap_ewma_ * 0.98 + (t - now_) * 0.02;
-  }
+  retire_slot(s);
   now_ = t;
   ++executed_;
   enter_event(key, tag);
@@ -349,13 +419,13 @@ bool Simulator::dispatch(Time until) {
     tb->begin_event(t, key);
   }
   // Overlap upcoming events' cache misses with this callback's execution.
-  // The promoted top cache names the upcoming slots, so the objects the next
-  // raw payloads point at (a Link, a Packet in flight, a timer context) can
-  // be fetched while the current event runs — at fabric scale those lines
-  // have been evicted between a packet's consecutive hops, and this serial
-  // miss chain otherwise dominates the event loop. Reading the payload of a
-  // pending slot is safe (single-threaded engine, slots are stable), and a
-  // prefetch of whatever bytes a closure payload holds is harmless.
+  // The run names the upcoming slots, so the objects the next raw payloads
+  // point at (a Link, a Packet in flight, a timer context) can be fetched
+  // while the current event runs — at fabric scale those lines have been
+  // evicted between a packet's consecutive hops, and this serial miss chain
+  // otherwise dominates the event loop. Reading the payload of a pending
+  // slot is safe (single-threaded engine, slots are stable), and a prefetch
+  // of whatever bytes a closure payload holds is harmless.
   //
   // The pipeline is two events deep: depth 1's payload objects were already
   // prefetched while the previous event ran (when it sat at depth 2), so a
@@ -363,8 +433,10 @@ bool Simulator::dispatch(Time until) {
   // prefetching the destination node); depth 2's slot line was prefetched
   // one step early, so its payload read below lands warm and its objects
   // start fetching now.
-  if (top_count_ > 0) {
-    const Slot& n0 = slot_at(top_cache_[0].slot);
+  const std::size_t ahead = run_.size();
+  if (ahead > 0) {
+    const RunEntry* next = run_.data() + ahead - 1;  // next[-i]: i + 1 ahead
+    const Slot& n0 = *next[0].slot;
     RawPayload np;
     std::memcpy(&np, n0.payload, sizeof(np));
     if (np.ctx != nullptr) __builtin_prefetch(np.ctx);
@@ -377,14 +449,20 @@ bool Simulator::dispatch(Time until) {
         }
       }
     }
-    if (top_count_ > 1) {
-      const Slot& n1 = slot_at(top_cache_[1].slot);
+    if (ahead > 1) {
+      const Slot& n1 = *next[-1].slot;
       RawPayload n1p;
       std::memcpy(&n1p, n1.payload, sizeof(n1p));
       if (n1p.ctx != nullptr) __builtin_prefetch(n1p.ctx);
       if (n1p.arg != nullptr) __builtin_prefetch(n1p.arg);
-      if (top_count_ > 2) __builtin_prefetch(&slot_at(top_cache_[2].slot));
+      if (ahead > 2) __builtin_prefetch(next[-2].slot);
     }
+  }
+  if (ahead < 3) {
+    // The run ends within the pipeline's reach: start fetching the first
+    // entry of the bucket the locator reads next.
+    const std::uint32_t head = bucket_heads_[next_day_ & bucket_mask_];
+    if (head != kNil) __builtin_prefetch(&slot_at(head));
   }
   switch (kind) {
     case Kind::kRaw: {
@@ -433,19 +511,15 @@ void Simulator::profile_count(RawFn fn, Kind kind) {
 }
 
 Time Simulator::next_event_time() {
-  if (staged_list_ != kNil || top_count_ == 0) {
-    if (!locate_top()) return kTimeInfinity;
-  }
-  return top_cache_[0].t;
+  if (run_.empty() && !refill_run()) return kTimeInfinity;
+  return time_of(run_.back());
 }
 
 void Simulator::run_before(Time bound) {
   stopped_ = false;
   while (!stopped_) {
-    if (staged_list_ != kNil || top_count_ == 0) {
-      if (!locate_top()) break;
-    }
-    if (top_cache_[0].t >= bound) break;
+    if (run_.empty() && !refill_run()) break;
+    if (time_of(run_.back()) >= bound) break;
     dispatch(kTimeInfinity);
   }
   enter_setup_context();

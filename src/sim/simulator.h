@@ -1,11 +1,24 @@
 // Discrete-event simulation engine.
 //
-// The engine is a monotonic clock plus a calendar queue (Brown 1988, the
-// structure behind ns-2's scheduler): a power-of-two ring of "day" buckets of
-// width `width_` seconds, where an event at time t belongs to bucket
-// floor(t / width_) mod num_buckets. The next event overall is found by
-// walking buckets from the current calendar day — O(1) amortized instead of
-// the O(log n) pointer-chasing sift of a binary heap.
+// The engine is a monotonic clock plus a two-tier calendar queue (Brown
+// 1988, the structure behind ns-2's scheduler, with the Ladder Queue's
+// sorted bottom: Tang, Goh & Thng, ACM TOMACS 2005). Time is cut into "days"
+// of width `width_` seconds, and the locator's position `next_day_` splits
+// the pending events in two:
+//   - every event of an earlier day lives in the *run*, one contiguous array
+//     sorted by (t, key), latest first, so a pop takes its last entry;
+//   - every later event sits on its day's bucket, a singly-linked list in a
+//     power-of-two ring (day mod num_buckets), pushed at the head.
+// When the run empties, the locator walks the ring from `next_day_` to the
+// first non-empty day, detaches that day's events into the run and sorts
+// them once (insertion sort for a handful, std::sort past a small cutoff,
+// so a pile-up at one instant cannot go quadratic). An event scheduled into
+// the run's day is inserted at its sorted place; one scheduled before it
+// (the locator detached ahead of the clock, as next_event_time() does)
+// hands the run back to its bucket and restarts the locator. Cancel
+// binary-searches the run or walks the event's short bucket. Events past
+// the last representable day (t = infinity) wait on a side list that joins
+// the run only once no finite event is left.
 //
 // Event order. Every event carries one fixed 64-bit order key, computed the
 // same way in sequential and partitioned runs, and events fire in (time,
@@ -39,21 +52,19 @@
 //     that allocates, counted in heap_closure_events() so tests can pin the
 //     steady state to zero.
 //
-// Buckets are intrusive doubly-linked lists threaded through the slot table:
-// each pending event owns one slot (invoker, payload, time, order key,
-// generation, prev/next links), so scheduling writes only the slot plus a
-// 4-byte bucket head, and no allocation happens outside slot-table growth.
-// The prev link makes unlink O(1) — popping the top no longer rescans its
-// bucket — and a sorted top cache (the K smallest pending events, captured
-// by the day scan that located the top) lets one day-walk serve up to K
-// consecutive pops. Slots live in stable chunked storage and are recycled
-// through a
-// free list; a per-slot generation stamp makes cancelling an already-fired,
-// already-cancelled, or reused id a true no-op that returns false.
-// Cancellation physically unlinks the event, so the queue never carries
-// stale entries.
+// Each pending event owns one 64-byte slot (invoker, payload, time, order
+// key, generation, bucket link), so scheduling into a later day writes only
+// the slot plus a 4-byte bucket head, and no allocation happens outside
+// slot-table or run growth. Run entries carry (t, key) and the slot's
+// address, so popping and the two-deep prefetch pipeline read no slot but
+// the one they need. Slots live in stable chunked storage and are recycled
+// through a free list; a per-slot generation stamp makes cancelling an
+// already-fired, already-cancelled, or reused id a true no-op that returns
+// false. Cancellation physically removes the event, so the queue never
+// carries stale entries.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -88,6 +99,7 @@ class EventId {
 
  private:
   friend class Simulator;
+  friend struct SimulatorTestPeer;
   EventId(std::uint32_t slot, std::uint32_t gen) : slot_(slot), gen_(gen) {}
   std::uint32_t slot_ = 0;
   std::uint32_t gen_ = 0;  // 0 = inert handle; slot generations start at 1
@@ -132,9 +144,9 @@ class Simulator {
   template <typename Fn>
   EventId schedule_at(Time t, Fn&& fn) {
     PASE_DCHECK(t >= now_ && "cannot schedule in the past");
-    const std::uint32_t slot = acquire_slot();
-    emplace_closure(slot_at(slot), std::forward<Fn>(fn));
-    return commit_slot(slot, t, next_key(t), cur_tag_);
+    Slot& s = acquire_slot();
+    emplace_closure(s, std::forward<Fn>(fn));
+    return commit_slot(s, t, next_key(t), cur_tag_);
   }
 
   // Schedules a setup root at absolute time `t` (>= now()), executing at
@@ -153,9 +165,9 @@ class Simulator {
     PASE_DCHECK((t != now_ || std::uint64_t{k} + 1 > cur_key_) &&
                 "setup root sorts before the executing event");
     const std::uint32_t tag = tag_of(node);
-    const std::uint32_t slot = acquire_slot();
-    emplace_closure(slot_at(slot), std::forward<Fn>(fn));
-    return commit_slot(slot, t, std::uint64_t{k} + 1, tag);
+    Slot& s = acquire_slot();
+    emplace_closure(s, std::forward<Fn>(fn));
+    return commit_slot(s, t, std::uint64_t{k} + 1, tag);
   }
 
   // Cancels a pending event. Returns true iff the event was still pending;
@@ -164,8 +176,8 @@ class Simulator {
   bool cancel(EventId id);
 
   // Pre-sizes internal structures for a workload of roughly `n` concurrently
-  // pending events: calendar buckets, free-list capacity, and enough slot
-  // chunks that the first `n` concurrent events never allocate.
+  // pending events: calendar buckets, free-list and run capacity, and
+  // enough slot chunks that the first `n` concurrent events never allocate.
   void reserve(std::size_t n);
 
   // Runs events until the queue drains or the clock passes `until`. Like
@@ -228,15 +240,17 @@ class Simulator {
   void run_before(Time bound);
 
   std::size_t pending_events() const {
-    return finite_entries_ + inf_count_ + staged_count_;
+    return calendar_count_ + staged_count_;
   }
   std::uint64_t executed_events() const { return executed_; }
 
   // Allocation telemetry for the zero-alloc steady-state tests: cumulative
-  // heap-fallback closures scheduled, calendar rebuilds performed, and slot
-  // chunks allocated. A warmed steady state must hold all three constant.
+  // heap-fallback closures scheduled, calendar rebuilds performed, times the
+  // run's storage was reallocated (reserve() included), and slot chunks
+  // allocated. A warmed steady state must hold all four constant.
   std::uint64_t heap_closure_events() const { return heap_closure_events_; }
   std::uint64_t calendar_rebuilds() const { return calendar_rebuilds_; }
+  std::uint64_t run_reallocations() const { return run_reallocations_; }
   std::size_t slot_chunks_allocated() const { return slot_chunks_.size(); }
   // Bytes of event-slot storage allocated (chunks are never freed mid-run,
   // so this is also the high-water mark).
@@ -294,11 +308,11 @@ class Simulator {
   //
   // Off by default: the per-dispatch cost is one predictable not-taken
   // branch. When enabled (the harness's --profile flag), every dispatch is
-  // tallied by payload kind and by registered raw-fn label, calendar day
-  // scans record their walk lengths, and the pending-event high-water mark
-  // is tracked — the inputs to the "where do the events go and how long are
-  // the bucket chains" analysis that previously required a hand-run
-  // profiler.
+  // tallied by payload kind and by registered raw-fn label, the locator
+  // records how many days it detached and how much each cost, and the
+  // pending-event high-water mark is tracked — the inputs to the "where do
+  // the events go and how long are the bucket chains" analysis that
+  // previously required a hand-run profiler.
   void enable_profiling() { profiling_ = true; }
 
   // Human-readable label for a raw event function (e.g. "link.deliver").
@@ -317,12 +331,17 @@ class Simulator {
   std::uint64_t profile_heap_dispatches() const { return profile_heap_; }
   // Raw dispatches whose fn carries no registered label.
   std::uint64_t profile_unlabeled_dispatches() const { return profile_other_; }
-  // Calendar-queue behavior: day walks performed by the top locator, total
-  // and maximum entries visited per walk, and the pending-set high-water
-  // mark (bucket occupancy pressure).
+  // Calendar-queue behavior: days the locator detached into the run, total
+  // and maximum bucket entries visited per detach, events inserted into a
+  // run that already covered their day, entries shifted to keep the run
+  // sorted (by the insertion sort of each detached day, or std::sort's
+  // comparisons for a day past its cutoff, and by each insertion), and the
+  // pending-set high-water mark (bucket occupancy pressure).
   std::uint64_t profile_top_walks() const { return profile_walks_; }
   std::uint64_t profile_scan_sum() const { return profile_scan_sum_; }
   std::uint64_t profile_scan_max() const { return profile_scan_max_; }
+  std::uint64_t profile_run_inserts() const { return profile_run_inserts_; }
+  std::uint64_t profile_sort_moves() const { return profile_sort_moves_; }
   std::uint64_t profile_peak_pending() const { return profile_peak_pending_; }
   // Labeled raw-fn dispatch counts, in registration order.
   std::vector<std::pair<const char*, std::uint64_t>> profiled_fn_counts()
@@ -359,9 +378,8 @@ class Simulator {
   // counter starts just above them.
   static constexpr std::uint64_t kFirstSetupCounter =
       (std::uint64_t{1} << 32) + 1;
-  // Slot indices stay below the list sentinels (kStaged, kNil).
-  static constexpr std::uint32_t kStaged = kNil - 1;
-  static constexpr std::uint32_t kMaxSlots = kStaged;
+  // Slot indices stay below the list sentinel.
+  static constexpr std::uint32_t kMaxSlots = kNil;
 
   enum class Kind : std::uint8_t {
     kRaw = 0,         // payload = RawPayload{ctx, arg}; nothing owned
@@ -408,10 +426,10 @@ class Simulator {
     RawFn fn = nullptr;
     alignas(8) unsigned char payload[kInlinePayloadSize];
     std::uint64_t key = 0;   // order key; breaks time ties. 0: not pending
-    Time t = 0.0;            // event time; locates the calendar bucket
+    Time t = 0.0;            // event time; locates the calendar day
     std::uint32_t gen = 1;   // bumped on fire/cancel to kill old handles
-    std::uint32_t next = kNil;  // intrusive bucket/staging-list links
-    std::uint32_t prev = kNil;  // kStaged on the staging list
+    std::uint32_t next = kNil;  // intrusive bucket/staging-list link
+    std::uint32_t index = 0;    // the slot's own index, for the free list
     Kind kind = Kind::kRaw;
     std::uint32_t tag : 24 = 0;  // the node the event executes at
   };
@@ -434,10 +452,10 @@ class Simulator {
     if (++s.gen == 0) s.gen = 1;
   }
 
-  void retire_slot(std::uint32_t slot_index, Slot& s) {
+  void retire_slot(Slot& s) {
     s.key = 0;
     bump_gen(s);
-    free_slots_.push_back(slot_index);
+    free_slots_.push_back(s.index);
   }
 
   // Frees whatever the payload owns (heap closures only) and downgrades the
@@ -452,21 +470,29 @@ class Simulator {
     s.kind = Kind::kRaw;
   }
 
-
   // Absolute day number of time `t`, or kInfDay when t is infinite (or so
   // large the day number would overflow). day_of is monotone in t, so
   // overflow events sort after everything the calendar can hold; they live
-  // in a side list consumed only once all finite events have fired.
-  static constexpr std::uint64_t kInfDay = ~std::uint64_t{0};
+  // in a side list consumed only once all finite events have fired. The
+  // conversion goes through int64_t, a single instruction (an unsigned one
+  // is a branchy sequence on x86-64).
+  static constexpr std::uint64_t kInfDay = ~std::uint64_t{0} - 1;
+  // Locator position once the side list has joined the run: every day,
+  // kInfDay included, lies before it.
+  static constexpr std::uint64_t kAllDays = ~std::uint64_t{0};
   std::uint64_t day_of(Time t) const {
     const double d = t * inv_width_;
-    return d < 9.2e18 ? static_cast<std::uint64_t>(d) : kInfDay;
+    return d < 9.2e18
+               ? static_cast<std::uint64_t>(static_cast<std::int64_t>(d))
+               : kInfDay;
   }
 
-  void unlink(std::uint32_t slot_index, const Slot& s);
-  // Picks a bucket width for `n` pending events: the observed inter-fire gap
-  // when enough events have run (robust against a few far-future outliers
-  // stretching the pending span), otherwise the span-based estimate.
+  // Removes a pending (not staged) event from the run or its bucket.
+  void unlink(Slot& s);
+  // Picks a day width for `n` pending events: a few observed inter-fire
+  // gaps when enough events have run (robust against a few far-future
+  // outliers stretching the pending span), otherwise the span-based
+  // estimate.
   double preferred_width(Time lo, Time hi, std::size_t n) const;
   void set_width(double w) {
     if (std::isfinite(w) && w > 0.0) {
@@ -474,49 +500,75 @@ class Simulator {
       inv_width_ = 1.0 / w;
     }
   }
-  // Distributes the staging list into calendar buckets (see commit_slot).
+  // Distributes the staging list into the calendar (see commit_slot).
   void flush_staged();
-  // Ensures the top cache is non-empty (its head is the earliest pending
+  // Ensures the run is non-empty (its last entry is the earliest pending
   // event). Returns false if nothing is pending.
-  bool locate_top();
+  bool refill_run();
+  // Detaches day `day`'s events from its bucket into the (empty) run and
+  // returns how many bucket entries it visited.
+  std::size_t detach_day(std::uint64_t day);
+  // Orders a freshly detached run (see RunEntry).
+  void sort_run();
+  // Places an event of day `day` < next_day_: at its sorted place in the
+  // run, or, when it precedes the run's day, back in the buckets with the
+  // run (see the definition).
+  void run_insert(Slot& s, std::uint64_t day);
   void rebuild(std::size_t new_num_buckets);
+
+  // The run: pending events of every day before next_day_, in descending
+  // (t, key) order, so a pop takes the last entry and a day detached from
+  // its newest-first bucket needs few moves. Each entry carries the
+  // slot's address, so popping and prefetching skip the chunk table, and
+  // the time as its bit pattern: for t >= +0.0 (and t = -0.0, normalized
+  // to +0.0) it orders like t, so (when, key) compares as one 128-bit
+  // integer, without a branch.
+  struct RunEntry {
+    std::uint64_t when;
+    std::uint64_t key;
+    Slot* slot;
+  };
+  static RunEntry entry_of(Slot& s) {
+    return RunEntry{std::bit_cast<std::uint64_t>(s.t + 0.0), s.key, &s};
+  }
+  static Time time_of(const RunEntry& e) { return std::bit_cast<Time>(e.when); }
+  __extension__ using Order = unsigned __int128;
+  static Order order_of(const RunEntry& e) {
+    return (Order{e.when} << 64) | e.key;
+  }
+  // The run's sort order: `a` fires after `b`.
+  static bool entry_after(const RunEntry& a, const RunEntry& b) {
+    return order_of(a) > order_of(b);
+  }
+  // Appends to the run, counting a reallocation when it is full.
+  void run_push(const RunEntry& e) {
+    if (run_.size() == run_.capacity()) ++run_reallocations_;
+    run_.push_back(e);
+  }
+  std::vector<RunEntry> run_;
+  std::uint64_t next_day_ = 0;  // locator position (see the file comment)
 
   std::vector<std::uint32_t> bucket_heads_;  // kNil-terminated lists
   std::size_t bucket_mask_ = 0;
   double width_ = 1e-6;
   double inv_width_ = 1e6;
-  std::uint64_t cur_day_ = 0;  // calendar position: no pending event is older
-  std::size_t finite_entries_ = 0;
+  // Events in the run, the buckets and the side list (not staged ones).
+  std::size_t calendar_count_ = 0;
 
   std::uint32_t inf_list_ = kNil;  // events past the calendar horizon
   std::size_t inf_count_ = 0;
 
   // Staging list: newly scheduled events accumulate here (O(1) prepend, no
   // bucket traffic) and are distributed in a batch when the next event is
-  // needed. The batch's span and size are tracked incrementally so the
+  // needed. Events are staged only while the calendar is empty, so a
+  // non-empty staging list means every other pending event is staged too.
+  // The batch's span and size are tracked incrementally so the
   // distribution pass can size the calendar and width up front.
   std::uint32_t staged_list_ = kNil;
   std::size_t staged_count_ = 0;   // live (uncancelled) staged events
   std::size_t staged_finite_ = 0;  // ... of those, finite-time ones
   Time staged_lo_ = kTimeInfinity;
   Time staged_hi_ = -kTimeInfinity;
-
-  // Top cache: the first top_count_ entries of the global (t, key) pending
-  // order, sorted. The day scan that locates the next event visits every
-  // event of that day anyway, so it captures the day's K smallest — provably
-  // the K globally smallest, since later days hold strictly later times —
-  // and one walk then serves up to K consecutive pops. link() keeps the
-  // prefix exact (insert when the new event beats the cached tail, skip
-  // otherwise); unlink() removes in place. An empty cache means "unknown",
-  // never "no events".
-  struct TopEntry {
-    Time t;
-    std::uint64_t key;
-    std::uint32_t slot;
-  };
-  static constexpr std::uint32_t kTopCacheSize = 16;
-  TopEntry top_cache_[kTopCacheSize];
-  std::uint32_t top_count_ = 0;
 
   // Prefetch-hint registry (see set_prefetch_hint). Two or three distinct
   // raw fns in practice (link tx-done / delivery), so a linear scan over a
@@ -548,46 +600,29 @@ class Simulator {
   std::uint64_t profile_walks_ = 0;
   std::uint64_t profile_scan_sum_ = 0;
   std::uint64_t profile_scan_max_ = 0;
+  std::uint64_t profile_run_inserts_ = 0;
+  std::uint64_t profile_sort_moves_ = 0;
   std::uint64_t profile_peak_pending_ = 0;
   bool profiling_ = false;
 
-  static bool entry_before(Time t, std::uint64_t key, const TopEntry& e) {
-    return t != e.t ? t < e.t : key < e.key;
-  }
-  // Inserts into the sorted cache if (t, key) beats the tail (or there is
-  // room to grow the prefix during a scan); drops the overflow.
-  void top_insert(Time t, std::uint64_t key, std::uint32_t slot) {
-    std::uint32_t n = top_count_;
-    if (n == kTopCacheSize) {
-      if (!entry_before(t, key, top_cache_[n - 1])) return;
-      --n;  // tail falls out
-    }
-    std::uint32_t i = n;
-    while (i > 0 && entry_before(t, key, top_cache_[i - 1])) {
-      top_cache_[i] = top_cache_[i - 1];
-      --i;
-    }
-    top_cache_[i] = TopEntry{t, key, slot};
-    top_count_ = n + 1;
-  }
-
-
   // --- Hot-path scheduling, defined in-class so call sites (links, timers,
   // hosts) compile the whole schedule to straight-line code. The cold
-  // restructuring operations (rebuild, flush_staged, locate_top) stay in
+  // restructuring operations (rebuild, flush_staged, refill_run) stay in
   // simulator.cc.
-  std::uint32_t acquire_slot() {
+  Slot& acquire_slot() {
     if (!free_slots_.empty()) {
       const std::uint32_t slot = free_slots_.back();
       free_slots_.pop_back();
-      return slot;
+      return slot_at(slot);
     }
     const std::uint32_t slot = num_slots_++;
     PASE_CHECK(slot < kMaxSlots && "pending-event slot space exhausted");
     if ((slot >> kSlotChunkShift) >= slot_chunks_.size()) {
       slot_chunks_.push_back(std::make_unique<Slot[]>(kSlotChunkSize));
     }
-    return slot;
+    Slot& s = slot_at(slot);
+    s.index = slot;
+    return s;
   }
 
   // Places a closure in the slot's payload (see the file comment).
@@ -612,81 +647,66 @@ class Simulator {
                          RawFn fn, void* ctx, void* arg) {
     PASE_DCHECK(t >= now_ && "cannot schedule in the past");
     PASE_DCHECK(fn != nullptr);
-    const std::uint32_t slot = acquire_slot();
-    Slot& s = slot_at(slot);
+    Slot& s = acquire_slot();
     s.fn = fn;
     const RawPayload rp{ctx, arg};
     std::memcpy(s.payload, &rp, sizeof(rp));
     s.kind = Kind::kRaw;
-    return commit_slot(slot, t, key, tag);
+    return commit_slot(s, t, key, tag);
   }
 
-  EventId commit_slot(std::uint32_t slot, Time t, std::uint64_t key,
-                      std::uint32_t tag) {
-    Slot& s = slot_at(slot);
+  EventId commit_slot(Slot& s, Time t, std::uint64_t key, std::uint32_t tag) {
     s.key = key;
     s.t = t;
     s.tag = tag;
-    // Steady state: link straight into the calendar — everything lands on the
-    // slot line just written plus one bucket head, and the memo update inside
-    // link() usually keeps the next pop O(1).
-    if (staged_list_ == kNil && finite_entries_ + inf_count_ > 0) {
-      link(slot, s);
+    // Steady state: link straight into the calendar — a later day costs the
+    // slot line just written plus one bucket head.
+    if (staged_list_ == kNil && calendar_count_ > 0) {
+      link(s);
       maybe_grow();
-      return EventId{slot, s.gen};
+      return EventId{s.index, s.gen};
     }
     // Empty calendar (or a staged batch already accumulating): stage instead,
     // so the whole burst is distributed — and the calendar sized and its
-    // bucket width derived for it in one pass — when the next event is
+    // day width derived for it in one pass — when the next event is
     // actually needed (see flush_staged).
-    s.prev = kStaged;
     s.next = staged_list_;
-    staged_list_ = slot;
+    staged_list_ = s.index;
     ++staged_count_;
     if (std::isfinite(t)) {
       ++staged_finite_;
       staged_lo_ = std::min(staged_lo_, t);
       staged_hi_ = std::max(staged_hi_, t);
     }
-    return EventId{slot, s.gen};
+    return EventId{s.index, s.gen};
   }
 
-  void link(std::uint32_t slot_index, Slot& s) {
+  void link(Slot& s) {
     const std::uint64_t day = day_of(s.t);
-    std::uint32_t& head =
-        day == kInfDay ? inf_list_ : bucket_heads_[day & bucket_mask_];
-    s.next = head;
-    s.prev = kNil;
-    if (head != kNil) slot_at(head).prev = slot_index;
-    head = slot_index;
-    if (day == kInfDay) {
+    ++calendar_count_;
+    if (day < next_day_) [[unlikely]] {
+      run_insert(s, day);
+      return;
+    }
+    push_bucket(s, day);
+  }
+
+  void push_bucket(Slot& s, std::uint64_t day) {
+    std::uint32_t* head = &bucket_heads_[day & bucket_mask_];
+    if (day == kInfDay) [[unlikely]] {
+      head = &inf_list_;
       ++inf_count_;
-    } else {
-      ++finite_entries_;
     }
-    if (top_count_ > 0 &&
-        entry_before(s.t, s.key, top_cache_[top_count_ - 1])) {
-      // The new event lands inside the cached prefix; insert it (dropping the
-      // overflow — still a valid, shorter prefix). Events past the cached tail
-      // must be skipped, not appended: pending events outside the cache may
-      // sort between the tail and the newcomer. If the newcomer preempts the
-      // cached top, rewind the calendar cursor so the next walk starts no
-      // later than its day.
-      if (entry_before(s.t, s.key, top_cache_[0]) && day < cur_day_) {
-        cur_day_ = day;
-      }
-      top_insert(s.t, s.key, slot_index);
-    }
+    s.next = *head;
+    *head = s.index;
   }
 
   void maybe_grow() {
     // Jump past the trigger point (2x occupancy) so refill-heavy workloads see
     // O(log n) rebuilds totalling O(n) relinks, not O(n log n).
-    if (finite_entries_ > bucket_heads_.size() * 2) {
-      rebuild(next_pow2(finite_entries_ * 2));
-    }
+    const std::size_t finite = calendar_count_ - inf_count_;
+    if (finite > bucket_heads_.size() * 2) rebuild(next_pow2(finite * 2));
   }
-
 
   std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
   std::uint32_t num_slots_ = 0;
@@ -720,10 +740,15 @@ class Simulator {
 
   Time now_ = 0.0;
   std::uint64_t executed_ = 0;
-  std::uint64_t last_rebuild_exec_ = 0;  // rebuild cooldown (see locate_top)
+  std::uint64_t last_rebuild_exec_ = 0;  // rebuild cooldown (see refill_run)
   std::uint64_t heap_closure_events_ = 0;
   std::uint64_t calendar_rebuilds_ = 0;
-  double fire_gap_ewma_ = 0.0;  // smoothed gap between consecutive fires
+  std::uint64_t run_reallocations_ = 0;
+  // Smoothed gap between consecutive fires, folded in once per detached
+  // day from the first event of the previous detached day (gap_mark_*).
+  double fire_gap_ewma_ = 0.0;
+  Time gap_mark_t_ = 0.0;
+  std::uint64_t gap_mark_exec_ = 0;
   bool stopped_ = false;
 
   // Arg-disposer registry (see set_arg_disposer). Read only at teardown, so

@@ -103,8 +103,10 @@ void fold_common_metrics(obs::MetricsRegistry& reg, const ScenarioResult& r,
 }
 
 // Self-profiler fold (--profile): dispatch mix, per-labeled-handler counts,
-// calendar scan statistics, pending-event high-water mark and switch
-// path-cache hit rates. Every input is deterministic (event counts and
+// calendar statistics (days detached into the sorted run and the bucket
+// entries each visited, events inserted into a run, entries shifted to keep
+// it sorted), pending-event high-water mark and switch path-cache hit
+// rates. Every input is deterministic (event counts and
 // structural state, no wall clocks), so the profile.* entries are safe in
 // sweep JSON. Counts sum over the domains.
 void fold_profile_metrics(obs::MetricsRegistry& reg,
@@ -112,6 +114,7 @@ void fold_profile_metrics(obs::MetricsRegistry& reg,
                           const topo::Topology& topo) {
   std::uint64_t raw = 0, inl = 0, heap = 0, unlabeled = 0;
   std::uint64_t walks = 0, scan_sum = 0, scan_max = 0, peak = 0;
+  std::uint64_t run_inserts = 0, sort_moves = 0;
   for (int d = 0; d < engine.num_domains(); ++d) {
     const sim::Simulator* s = &engine.domain(d);
     raw += s->profile_raw_dispatches();
@@ -121,6 +124,8 @@ void fold_profile_metrics(obs::MetricsRegistry& reg,
     walks += s->profile_top_walks();
     scan_sum += s->profile_scan_sum();
     scan_max = std::max(scan_max, s->profile_scan_max());
+    run_inserts += s->profile_run_inserts();
+    sort_moves += s->profile_sort_moves();
     peak += s->profile_peak_pending();
     for (const auto& [label, count] : s->profiled_fn_counts()) {
       reg.counter(std::string("profile.engine.dispatch.") + label) += count;
@@ -135,6 +140,8 @@ void fold_profile_metrics(obs::MetricsRegistry& reg,
       walks > 0 ? static_cast<double>(scan_sum) / static_cast<double>(walks)
                 : 0.0;
   reg.counter("profile.engine.scan_max") = scan_max;
+  reg.counter("profile.engine.run_inserts") = run_inserts;
+  reg.counter("profile.engine.sort_moves") = sort_moves;
   reg.counter("profile.engine.peak_pending") = peak;
   std::uint64_t hits = 0, misses = 0;
   for (const auto& sw : topo.switches()) {

@@ -9,6 +9,7 @@
 //   - Simulator::heap_closure_events(): no closure ever spills to the heap,
 //   - Simulator::slot_chunks_allocated(): the slot arena never grows,
 //   - Simulator::calendar_rebuilds(): the calendar never restructures,
+//   - Simulator::run_reallocations(): the sorted run never reallocates,
 //   - PacketPool::misses(): no packet acquire falls through to `new`.
 #include <gtest/gtest.h>
 
@@ -84,6 +85,7 @@ TEST(AllocFreeSteadyState, WarmedPingPongAllocatesNothing) {
 
   const std::uint64_t heap_closures = sim.heap_closure_events();
   const std::uint64_t rebuilds = sim.calendar_rebuilds();
+  const std::uint64_t run_reallocations = sim.run_reallocations();
   const std::size_t chunks = sim.slot_chunks_allocated();
   const std::uint64_t misses = pool.misses();
 
@@ -94,6 +96,8 @@ TEST(AllocFreeSteadyState, WarmedPingPongAllocatesNothing) {
       << "a hot-path event spilled a closure to the heap";
   EXPECT_EQ(sim.calendar_rebuilds(), rebuilds)
       << "the calendar restructured mid-steady-state";
+  EXPECT_EQ(sim.run_reallocations(), run_reallocations)
+      << "the sorted run reallocated mid-steady-state";
   EXPECT_EQ(sim.slot_chunks_allocated(), chunks)
       << "the slot arena grew mid-steady-state";
   EXPECT_EQ(pool.misses(), misses)
